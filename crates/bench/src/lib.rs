@@ -9,9 +9,11 @@
 //! * `DAS_QUICK=1` — sparse sweeps and short horizons (smoke testing);
 //! * `DAS_RESULTS_DIR` — where to persist outputs (default `./results`).
 //!
-//! Criterion micro-benchmarks (per-decision scheduler cost, simulator
-//! throughput, generator throughput) live in `benches/` and feed Table 3's
-//! CPU-cost column: `cargo bench -p das-bench`.
+//! Per-decision scheduler cost, simulator throughput and generator
+//! throughput are measured by the repo's benchmark, `das_perf` (see
+//! `perf/README.md`): `das_perf run --workload all --trace 1` reports the
+//! `sched.pair_ns.*`, `sched.hint_ns.*`, `store.run_ns_per_event.*` and
+//! `workload.gen_ns_per_req` metrics that feed Table 3's CPU-cost column.
 
 // Test code asserts on exact deterministic outputs and unwraps freely;
 // the machine-checked rules apply to shipped library paths only.

@@ -1,6 +1,7 @@
 //! CLI smoke tests for the chaos-search surface of `das_experiment`:
 //! `chaos` byte-determinism, replayable artifact output, the
-//! `replay --faults/--overload` overrides, and `chaos-verify` verdicts.
+//! `replay --faults/--overload` overrides, and `chaos-verify` verdicts —
+//! plus `run`'s typed rejection of an out-of-range policy knob.
 
 // Integration tests unwrap freely: a panic is the failure report.
 #![allow(clippy::unwrap_used)]
@@ -195,4 +196,36 @@ fn chaos_verify_flags_verdict_drift() {
     let out = das_experiment(&["chaos-verify", empty.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("no *.case.json"), "{}", stderr(&out));
+}
+
+#[test]
+fn run_rejects_a_bad_policy_with_a_typed_error_not_a_panic() {
+    use das_sched::policy::PolicyKind;
+    let dir = scratch("bad-policy");
+    let mut config = das_core::scenarios::base_experiment("bad policy".to_string(), 0.5);
+    config.horizon_secs = 0.05;
+    config.warmup_secs = 0.0;
+    for (policy, message) in [
+        (
+            PolicyKind::Das {
+                config: das_sched::DasConfig {
+                    aging: -1.0,
+                    ..Default::default()
+                },
+            },
+            "error: policy: das aging must be finite and >= 0, got -1",
+        ),
+        (
+            PolicyKind::ReinMl { levels: 1 },
+            "error: policy: rein_ml levels must be in 2..=64, got 1",
+        ),
+    ] {
+        config.policies = vec![policy];
+        let path = dir.join("config.json");
+        std::fs::write(&path, serde_json::to_string(&config).unwrap()).unwrap();
+        let out = das_experiment(&["run", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(stderr(&out).contains(message), "{}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    }
 }

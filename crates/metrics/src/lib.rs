@@ -47,4 +47,4 @@ pub use batch::{BatchMeans, BatchingStats};
 pub use histogram::LogHistogram;
 pub use slowdown::SlowdownTracker;
 pub use summary::{ComparisonTable, LatencySummary, SummarySet};
-pub use timeseries::{TimeSeries, TimeSeriesNs};
+pub use timeseries::TimeSeries;

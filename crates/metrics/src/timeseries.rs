@@ -98,98 +98,6 @@ impl TimeSeries {
     }
 }
 
-/// Integer-nanosecond fixed-width-bin time series: the exact-accounting
-/// sibling of [`TimeSeries`] for telemetry aggregation, where the sums
-/// must stay lossless (float accumulation drifts once per-bin sums pass
-/// 2^53 ns ≈ 104 days of busy time, and bin assignment via `f64` division
-/// can mis-bucket near boundaries).
-///
-/// ```
-/// use das_metrics::timeseries::TimeSeriesNs;
-///
-/// let mut ts = TimeSeriesNs::new(1_000); // 1 µs bins
-/// ts.record(200, 10);
-/// ts.record(700, 20);
-/// ts.record(1_500, 100);
-/// let bins = ts.bins();
-/// assert_eq!(bins.len(), 2);
-/// assert_eq!(bins[0].sum_ns, 30);
-/// assert_eq!(bins[1].max_ns, 100);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeSeriesNs {
-    bin_width_ns: u64,
-    bins: Vec<BinNs>,
-}
-
-/// One aggregation bin of a [`TimeSeriesNs`]. All fields are exact
-/// integers; float views (mean seconds, …) belong to the presentation
-/// layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BinNs {
-    /// Start of the bin (inclusive), nanoseconds.
-    pub start_ns: u64,
-    /// Number of observations in the bin.
-    pub count: u64,
-    /// Exact sum of observed values, nanoseconds.
-    pub sum_ns: u64,
-    /// Largest observed value (`0` when empty), nanoseconds.
-    pub max_ns: u64,
-}
-
-impl BinNs {
-    /// Integer mean of the bin's observations, rounded down (0 when
-    /// empty — the same guard [`Bin::mean`] applies, with no NaN to
-    /// guard against in the first place).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-impl TimeSeriesNs {
-    /// Creates a series with the given bin width (must be non-zero).
-    pub fn new(bin_width_ns: u64) -> Self {
-        assert!(bin_width_ns > 0, "bin width must be non-zero");
-        TimeSeriesNs {
-            bin_width_ns,
-            bins: Vec::new(),
-        }
-    }
-
-    /// Records `value_ns` observed at `t_ns`. Exact: bin assignment is
-    /// integer division, accumulation is integer addition.
-    pub fn record(&mut self, t_ns: u64, value_ns: u64) {
-        let idx = (t_ns / self.bin_width_ns) as usize;
-        if idx >= self.bins.len() {
-            let old_len = self.bins.len();
-            self.bins.resize(idx + 1, BinNs::default());
-            for (i, b) in self.bins.iter_mut().enumerate().skip(old_len) {
-                b.start_ns = i as u64 * self.bin_width_ns;
-            }
-        }
-        let b = &mut self.bins[idx];
-        b.count += 1;
-        b.sum_ns += value_ns;
-        b.max_ns = b.max_ns.max(value_ns);
-    }
-
-    /// All bins from time zero through the latest observation (bins with
-    /// no observations have `count == 0`).
-    pub fn bins(&self) -> &[BinNs] {
-        &self.bins
-    }
-
-    /// The bin width, nanoseconds.
-    pub fn bin_width_ns(&self) -> u64 {
-        self.bin_width_ns
-    }
-
-    /// Exact total of every recorded value, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.bins.iter().map(|b| b.sum_ns).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,48 +150,5 @@ mod tests {
         };
         assert!(!b.mean().is_nan());
         assert_eq!(b.mean(), 0.0);
-    }
-
-    #[test]
-    fn integer_bins_accumulate_exactly() {
-        let mut ts = TimeSeriesNs::new(500);
-        ts.record(100, 1);
-        ts.record(400, 3);
-        ts.record(600, 10);
-        let bins = ts.bins();
-        assert_eq!(bins.len(), 2);
-        assert_eq!(bins[0].count, 2);
-        assert_eq!(bins[0].sum_ns, 4);
-        assert_eq!(bins[0].mean_ns(), 2);
-        assert_eq!(bins[0].max_ns, 3);
-        assert_eq!(bins[1].start_ns, 500);
-        assert_eq!(ts.total_ns(), 14);
-        assert_eq!(ts.bin_width_ns(), 500);
-    }
-
-    #[test]
-    fn integer_boundary_lands_in_the_upper_bin() {
-        // Exact boundaries bucket deterministically: t == k·width goes to
-        // bin k, with no float rounding to flip it.
-        let mut ts = TimeSeriesNs::new(1000);
-        ts.record(1000, 7);
-        assert_eq!(ts.bins().len(), 2);
-        assert_eq!(ts.bins()[0].count, 0);
-        assert_eq!(ts.bins()[1].count, 1);
-    }
-
-    #[test]
-    fn integer_gaps_are_empty_bins_and_empty_mean_is_zero() {
-        let mut ts = TimeSeriesNs::new(100);
-        ts.record(50, 1);
-        ts.record(350, 2);
-        assert_eq!(ts.bins().len(), 4);
-        assert_eq!(ts.bins()[1], BinNs {
-            start_ns: 100,
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        });
-        assert_eq!(ts.bins()[1].mean_ns(), 0);
     }
 }

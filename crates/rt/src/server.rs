@@ -233,7 +233,7 @@ fn worker_loop(inner: &Inner) {
                     return;
                 }
                 let now = SimTime::from_nanos(inner.epoch.elapsed().as_nanos() as u64);
-                if let Some(q) = st.scheduler.dequeue(now) {
+                if let Some((q, _)) = st.scheduler.dequeue(now) {
                     let payload = st
                         .payloads
                         .remove(&q.tag.op)

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use das_sim::time::{SimDuration, SimTime};
 
-use crate::scheduler::{KeyedQueue, Scheduler};
+use crate::scheduler::{DequeueDecision, KeyedQueue, Scheduler};
 use crate::types::QueuedOp;
 
 /// First-come-first-served: the default discipline of production key-value
@@ -31,10 +31,11 @@ impl Scheduler for Fcfs {
         self.queued_work += op.local_estimate;
         self.queue.push_back(op);
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
+        let queue_len = self.queue.len();
         let op = self.queue.pop_front()?;
         self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        Some(op)
+        Some((op, DequeueDecision::policy_order(queue_len)))
     }
     fn len(&self) -> usize {
         self.queue.len()
@@ -66,7 +67,7 @@ impl Scheduler for Sjf {
     fn enqueue(&mut self, op: QueuedOp, _now: SimTime) {
         self.queue.push(op.local_estimate.as_nanos(), op);
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
         self.queue.pop()
     }
     fn len(&self) -> usize {
@@ -100,7 +101,7 @@ impl Scheduler for Edf {
         let deadline = op.tag.request_arrival + op.tag.bottleneck_demand;
         self.queue.push(deadline.as_nanos(), op);
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
         self.queue.pop()
     }
     fn len(&self) -> usize {
@@ -139,10 +140,8 @@ impl Scheduler for LrptLast {
         self.queued_work += op.local_estimate;
         self.queue.push(op);
     }
-    fn dequeue(&mut self, now: SimTime) -> Option<QueuedOp> {
-        if self.queue.is_empty() {
-            return None;
-        }
+    fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
+        let queue_len = self.queue.len();
         // Serve the op whose request has the *least* remaining bottleneck
         // time (postponing the largest remaining = LRPT-last); break ties
         // by arrival order (stable because Vec preserves insertion order).
@@ -154,7 +153,7 @@ impl Scheduler for LrptLast {
             .map(|(i, _)| i)?;
         let op = self.queue.remove(best);
         self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        Some(op)
+        Some((op, DequeueDecision::policy_order(queue_len)))
     }
     fn len(&self) -> usize {
         self.queue.len()
@@ -232,14 +231,15 @@ impl Scheduler for RandomOrder {
         self.queued_work += op.local_estimate;
         self.queue.push(op);
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
-        if self.queue.is_empty() {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
+        let queue_len = self.queue.len();
+        if queue_len == 0 {
             return None;
         }
-        let idx = (self.next_u64() % self.queue.len() as u64) as usize;
+        let idx = (self.next_u64() % queue_len as u64) as usize;
         let op = self.queue.swap_remove(idx);
         self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        Some(op)
+        Some((op, DequeueDecision::policy_order(queue_len)))
     }
     fn len(&self) -> usize {
         self.queue.len()
@@ -293,7 +293,7 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.queued_work(), SimDuration::from_micros(151));
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(s.queued_work(), SimDuration::ZERO);
@@ -307,7 +307,7 @@ mod tests {
         s.enqueue(op(2, 1, 0, 0), now);
         s.enqueue(op(3, 50, 0, 0), now);
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order, vec![2, 3, 1]);
     }
@@ -321,7 +321,7 @@ mod tests {
         s.enqueue(op(2, 1, 0, 30), now);
         s.enqueue(op(3, 50, 0, 10), now);
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order, vec![2, 3, 1]);
     }
@@ -334,7 +334,7 @@ mod tests {
         s.enqueue(op(2, 10, 150, 0), now); // remaining 50us
         s.enqueue(op(3, 10, 2000, 0), now); // remaining 1900us -> last
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order, vec![2, 1, 3]);
     }
@@ -354,7 +354,7 @@ mod tests {
             },
             now,
         );
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
         assert!(s.wants_hints());
         assert!(s.wants_piggyback());
     }
@@ -366,8 +366,8 @@ mod tests {
         let now = SimTime::from_micros(10_000);
         s.enqueue(op(7, 10, 100, 0), now);
         s.enqueue(op(8, 10, 200, 0), now);
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(7));
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(8));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(7));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(8));
     }
 
     #[test]
@@ -379,7 +379,7 @@ mod tests {
         }
         assert_eq!(s.len(), 50);
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order.len(), 50);
         let mut sorted = order.clone();
@@ -399,7 +399,7 @@ mod tests {
                 s.enqueue(op(i, 10, 10, 0), now);
             }
             std::iter::from_fn(move || s.dequeue(now))
-                .map(|o| o.tag.op.request.0)
+                .map(|(o, _)| o.tag.op.request.0)
                 .collect::<Vec<_>>()
         };
         assert_eq!(drain(7), drain(7));

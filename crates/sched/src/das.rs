@@ -135,19 +135,14 @@ impl DasConfig {
 #[derive(Debug)]
 pub struct Das {
     config: DasConfig,
-    queue: Vec<Slot>,
-    next_seq: u64,
+    /// Waiting ops in arrival order: index 0 is the oldest, and an op's
+    /// index is the number of older ops still queued.
+    queue: Vec<QueuedOp>,
     queued_work: SimDuration,
     /// EWMA of the waits of dispatched ops.
     wait_ewma: das_sim::stats::Ewma,
     /// EWMA of the local demands of dispatched ops.
     demand_ewma: das_sim::stats::Ewma,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    seq: u64,
-    op: QueuedOp,
 }
 
 impl Default for Das {
@@ -164,7 +159,6 @@ impl Das {
         Das {
             config,
             queue: Vec::new(),
-            next_seq: 0,
             queued_work: SimDuration::ZERO,
             wait_ewma: das_sim::stats::Ewma::new(0.02),
             demand_ewma: das_sim::stats::Ewma::new(0.02),
@@ -202,66 +196,42 @@ impl Das {
         }
     }
 
-    /// Picks the next op to serve: its index in `queue` plus the rule that
-    /// chose it. Shared by [`Scheduler::dequeue`] and
-    /// [`Scheduler::dequeue_explained`] so the two can never diverge.
+    /// Picks the next op to serve: its index in `queue` (= its arrival
+    /// position) plus the rule that chose it.
     fn select(&self, now: SimTime) -> Option<(usize, DequeueRule)> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let oldest = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.seq)
-            .map(|(i, _)| i)?;
+        let oldest = self.queue.first()?;
         if self.queue.len() <= self.config.fcfs_fallback_len {
-            // Low load: FCFS (earliest seq).
-            return Some((oldest, DequeueRule::FcfsFallback));
+            // Low load: FCFS.
+            return Some((0, DequeueRule::FcfsFallback));
         }
-        if self.starving(&self.queue[oldest].op, now) {
+        if self.starving(oldest, now) {
             // Adaptive starvation guard: the oldest op has waited far past
             // the current norm — serve it regardless of rank.
-            return Some((oldest, DequeueRule::StarvationGuard));
+            return Some((0, DequeueRule::StarvationGuard));
         }
         // Scan for the minimum rank (lower = served first); the rank
         // is max(local, remaining bottleneck demand) − slope · wait,
         // with `bottleneck_demand` kept current by progress hints.
-        // Ties go to the earliest arrival.
         let slope = self.aging_slope();
         let mut best = 0usize;
         let mut best_rank = f64::INFINITY;
-        let mut best_seq = u64::MAX;
-        for (i, slot) in self.queue.iter().enumerate() {
-            let local = slot.op.local_estimate.as_secs_f64();
+        for (i, op) in self.queue.iter().enumerate() {
+            let local = op.local_estimate.as_secs_f64();
             let remaining = if self.config.use_remaining_bottleneck {
-                local.max(slot.op.tag.bottleneck_demand.as_secs_f64())
+                local.max(op.tag.bottleneck_demand.as_secs_f64())
             } else {
                 local
             };
-            let r = remaining - slope * slot.op.wait_at(now).as_secs_f64();
-            // Exact tie-break on equal ranks (an epsilon would make the
-            // dequeue order depend on unrelated float noise).
-            let ord = r.total_cmp(&best_rank);
-            if ord == std::cmp::Ordering::Less
-                || (ord == std::cmp::Ordering::Equal && slot.seq < best_seq)
-            {
+            let r = remaining - slope * op.wait_at(now).as_secs_f64();
+            // Strictly smaller only: the scan runs in arrival order, so
+            // exact ties stay with the earliest arrival (an epsilon would
+            // make the dequeue order depend on unrelated float noise).
+            if r.total_cmp(&best_rank) == std::cmp::Ordering::Less {
                 best = i;
                 best_rank = r;
-                best_seq = slot.seq;
             }
         }
         Some((best, DequeueRule::MinRank))
-    }
-
-    /// Removes the op at `idx` and updates the dispensed-wait/demand EWMAs.
-    fn take(&mut self, idx: usize, now: SimTime) -> QueuedOp {
-        let slot = self.queue.swap_remove(idx);
-        self.queued_work = self.queued_work.saturating_sub(slot.op.local_estimate);
-        self.wait_ewma.record(slot.op.wait_at(now).as_secs_f64());
-        self.demand_ewma
-            .record(slot.op.local_estimate.as_secs_f64());
-        slot.op
     }
 }
 
@@ -281,32 +251,22 @@ impl Scheduler for Das {
     }
 
     fn enqueue(&mut self, op: QueuedOp, _now: SimTime) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.queued_work += op.local_estimate;
-        self.queue.push(Slot { seq, op });
+        self.queue.push(op);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<QueuedOp> {
-        let (idx, _) = self.select(now)?;
-        Some(self.take(idx, now))
-    }
-
-    fn dequeue_explained(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
+    fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
         let (idx, rule) = self.select(now)?;
-        let picked_seq = self.queue[idx].seq;
-        // Arrival-order rank of the pick: how many queued ops are older.
-        let position = self.queue.iter().filter(|s| s.seq < picked_seq).count() as u32;
-        let queue_len = self.queue.len() as u32;
-        let op = self.take(idx, now);
-        Some((
-            op,
-            DequeueDecision {
-                rule,
-                position,
-                queue_len,
-            },
-        ))
+        let decision = DequeueDecision {
+            rule,
+            position: idx as u32,
+            queue_len: self.queue.len() as u32,
+        };
+        let op = self.queue.remove(idx);
+        self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
+        self.wait_ewma.record(op.wait_at(now).as_secs_f64());
+        self.demand_ewma.record(op.local_estimate.as_secs_f64());
+        Some((op, decision))
     }
 
     fn len(&self) -> usize {
@@ -317,10 +277,10 @@ impl Scheduler for Das {
         if !(self.config.adaptive || self.config.oracle) {
             return;
         }
-        for slot in &mut self.queue {
-            if slot.op.tag.op.request == request {
-                slot.op.tag.bottleneck_eta = update.bottleneck_eta;
-                slot.op.tag.bottleneck_demand = update.remaining_demand;
+        for op in &mut self.queue {
+            if op.tag.op.request == request {
+                op.tag.bottleneck_eta = update.bottleneck_eta;
+                op.tag.bottleneck_demand = update.remaining_demand;
             }
         }
     }
@@ -380,7 +340,7 @@ mod tests {
 
     fn drain(s: &mut Das, now: SimTime) -> Vec<u64> {
         std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect()
     }
 
@@ -412,7 +372,10 @@ mod tests {
         let later = t0 + SimDuration::from_millis(100);
         s.enqueue(op(2, 10, 10, later.as_nanos() / 1000), later);
         // Guard fires: the oldest op wins despite its huge demand.
-        assert_eq!(s.dequeue(later).unwrap().tag.op.request, RequestId(1));
+        let (o, d) = s.dequeue(later).unwrap();
+        assert_eq!(o.tag.op.request, RequestId(1));
+        assert_eq!(d.rule, DequeueRule::StarvationGuard);
+        assert_eq!(d.position, 0);
     }
 
     #[test]
@@ -431,7 +394,7 @@ mod tests {
         let t0 = SimTime::from_secs(100);
         s.enqueue(op(1, 50_000, 50_000, t0.as_nanos() / 1000), t0);
         s.enqueue(op(2, 10, 10, t0.as_nanos() / 1000), t0);
-        assert_eq!(s.dequeue(t0).unwrap().tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(t0).unwrap().0.tag.op.request, RequestId(2));
     }
 
     #[test]
@@ -481,7 +444,7 @@ mod tests {
         // credit, beating a fresh 500us op.
         let now = SimTime::from_millis(200);
         s.enqueue(op(2, 500, 500, 200_000), now);
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
     }
 
     #[test]
@@ -491,7 +454,7 @@ mod tests {
         let now = SimTime::from_millis(200);
         s.enqueue(op(2, 500, 500, 200_000), now);
         // Without aging the newcomer with the smaller demand wins forever.
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
     }
 
     #[test]
@@ -505,9 +468,12 @@ mod tests {
         s.enqueue(op(1, 100, 10_000, 0), now);
         s.enqueue(op(2, 1, 10, 0), now);
         // Two queued <= fallback threshold: serve in arrival order.
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        let (o, d) = s.dequeue(now).unwrap();
+        assert_eq!(o.tag.op.request, RequestId(1));
+        assert_eq!(d.rule, DequeueRule::FcfsFallback);
+        assert_eq!((d.position, d.queue_len), (0, 2));
         // Now only one left — still FCFS region.
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
     }
 
     #[test]
@@ -569,30 +535,15 @@ mod tests {
     }
 
     #[test]
-    fn explained_dequeue_matches_dequeue_and_names_the_rule() {
-        // Same fill, two schedulers: the explained variant must pick the
-        // identical op sequence and label each pick with the rule in force.
-        let config = no_fallback(DasConfig::default());
-        let mut plain = Das::new(config);
-        let mut explained = Das::new(config);
+    fn dequeue_names_the_rule_and_position() {
+        let mut s = Das::new(no_fallback(DasConfig::default()));
         let now = SimTime::ZERO;
         for (req, local, bott) in [(1, 10, 5_000), (2, 10, 100), (3, 10, 1_000)] {
-            plain.enqueue(op(req, local, bott, 0), now);
-            explained.enqueue(op(req, local, bott, 0), now);
+            s.enqueue(op(req, local, bott, 0), now);
         }
-        let mut rules = Vec::new();
-        loop {
-            let a = plain.dequeue(now);
-            let b = explained.dequeue_explained(now);
-            match (a, b) {
-                (None, None) => break,
-                (Some(a), Some((b, d))) => {
-                    assert_eq!(a.tag.op, b.tag.op);
-                    rules.push((d.rule, d.position, d.queue_len));
-                }
-                other => panic!("diverged: {other:?}"),
-            }
-        }
+        let rules: Vec<_> = std::iter::from_fn(|| s.dequeue(now))
+            .map(|(_, d)| (d.rule, d.position, d.queue_len))
+            .collect();
         // First pick: request 2 (arrival position 1) out of 3 by min-rank;
         // last pick is a 1-deep queue but fallback is off, so still
         // min-rank at position 0.
@@ -606,39 +557,139 @@ mod tests {
         );
     }
 
-    #[test]
-    fn explained_dequeue_reports_fallback_and_guard() {
-        let mut s = Das::new(DasConfig {
-            fcfs_fallback_len: 2,
-            ..Default::default()
-        });
-        let now = SimTime::ZERO;
-        s.enqueue(op(1, 100, 10_000, 0), now);
-        s.enqueue(op(2, 1, 10, 0), now);
-        let (o, d) = s.dequeue_explained(now).unwrap();
-        assert_eq!(o.tag.op.request, RequestId(1));
-        assert_eq!(d.rule, DequeueRule::FcfsFallback);
-        assert_eq!((d.position, d.queue_len), (0, 2));
+    /// The ranking rule written the slow, obvious way over an
+    /// arrival-ordered shadow queue: `min` over `(rank, arrival index)`
+    /// with the same float expression as [`Das::select`].
+    struct Naive {
+        config: DasConfig,
+        shadow: Vec<QueuedOp>,
+        wait: das_sim::stats::Ewma,
+        demand: das_sim::stats::Ewma,
+    }
 
-        // Starvation guard: prime the wait EWMA, then age one op way out.
-        let mut s = Das::new(DasConfig {
-            starvation_factor: 4.0,
-            fcfs_fallback_len: 0,
-            ..Default::default()
-        });
-        for i in 0..100 {
-            let t = SimTime::from_millis(10 * i);
-            s.enqueue(op(1000 + i, 100, 100, t.as_nanos() / 1000), t);
-            assert!(s.dequeue(t + SimDuration::from_millis(1)).is_some());
+    impl Naive {
+        fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueRule)> {
+            let c = self.config;
+            let wait = |o: &QueuedOp| o.wait_at(now).as_secs_f64();
+            let oldest = self.shadow.first()?;
+            let starving = match self.wait.value() {
+                Some(avg) if c.starvation_factor > 0.0 && avg > 0.0 => {
+                    wait(oldest) > c.starvation_factor * avg
+                }
+                _ => false,
+            };
+            let slope = match (self.demand.value(), self.wait.value()) {
+                _ if c.aging == 0.0 => 0.0,
+                (Some(d), Some(w)) if w > 0.0 => c.aging * (d / w).min(1.0),
+                _ => c.aging,
+            };
+            let rank = |o: &QueuedOp| {
+                let local = o.local_estimate.as_secs_f64();
+                local.max(o.tag.bottleneck_demand.as_secs_f64()) - slope * wait(o)
+            };
+            let (idx, rule) = if self.shadow.len() <= c.fcfs_fallback_len {
+                (0, DequeueRule::FcfsFallback)
+            } else if starving {
+                (0, DequeueRule::StarvationGuard)
+            } else {
+                let by_rank_then_arrival = |a: &usize, b: &usize| {
+                    rank(&self.shadow[*a])
+                        .total_cmp(&rank(&self.shadow[*b]))
+                        .then(a.cmp(b))
+                };
+                let idx = (0..self.shadow.len()).min_by(by_rank_then_arrival)?;
+                (idx, DequeueRule::MinRank)
+            };
+            let o = self.shadow.remove(idx);
+            self.wait.record(wait(&o));
+            self.demand.record(o.local_estimate.as_secs_f64());
+            Some((o, rule))
         }
-        let t0 = SimTime::from_secs(100);
-        s.enqueue(op(1, 50_000, 50_000, t0.as_nanos() / 1000), t0);
-        let later = t0 + SimDuration::from_millis(100);
-        s.enqueue(op(2, 10, 10, later.as_nanos() / 1000), later);
-        let (o, d) = s.dequeue_explained(later).unwrap();
-        assert_eq!(o.tag.op.request, RequestId(1));
-        assert_eq!(d.rule, DequeueRule::StarvationGuard);
-        assert_eq!(d.position, 0);
+    }
+
+    #[test]
+    fn das_matches_the_naive_reference_under_random_interleavings() {
+        use rand::RngCore;
+        let configs = [
+            DasConfig::default(),
+            DasConfig {
+                fcfs_fallback_len: 0,
+                ..Default::default()
+            },
+            DasConfig {
+                fcfs_fallback_len: 2,
+                ..Default::default()
+            },
+            DasConfig {
+                starvation_factor: 4.0,
+                ..Default::default()
+            },
+            DasConfig {
+                aging: 0.0,
+                ..Default::default()
+            },
+        ];
+        for (seed, config) in configs.into_iter().enumerate() {
+            let mut rng = das_sim::rng::SeedFactory::new(seed as u64).stream("das-diff", 0);
+            let mut das = Das::new(config);
+            let mut naive = Naive {
+                config,
+                shadow: Vec::new(),
+                wait: das_sim::stats::Ewma::new(0.02),
+                demand: das_sim::stats::Ewma::new(0.02),
+            };
+            let (mut now_us, mut arrivals, mut rules_seen) = (0u64, 0u64, [0u32; 4]);
+            for step in 0..4_000 {
+                now_us += rng.next_u64() % 40;
+                let now = SimTime::from_micros(now_us);
+                match rng.next_u64() % 20 {
+                    // Demands come from a few values so exact rank ties
+                    // are common; requests are arrival-numbered.
+                    0..=8 => {
+                        arrivals += 1;
+                        let local = [10, 20, 50][(rng.next_u64() % 3) as usize];
+                        let bott = [20, 50, 400][(rng.next_u64() % 3) as usize];
+                        let o = op(arrivals, local, bott, now_us);
+                        das.enqueue(o, now);
+                        naive.shadow.push(o);
+                    }
+                    9..=16 => {
+                        let older_than = |picked: &QueuedOp| {
+                            let is_older = |o: &&QueuedOp| o.tag.op.request < picked.tag.op.request;
+                            naive.shadow.iter().filter(is_older).count() as u32
+                        };
+                        let got = das.dequeue(now);
+                        let position = got.as_ref().map(|(o, _)| older_than(o));
+                        let queue_len = naive.shadow.len() as u32;
+                        let want = naive.dequeue(now);
+                        assert_eq!(got.is_some(), want.is_some(), "step {step}");
+                        if let (Some((g, d)), Some((w, rule))) = (got, want) {
+                            assert_eq!(g.tag.op, w.tag.op, "step {step} config {config:?}");
+                            assert_eq!(d.rule, rule, "step {step}");
+                            assert_eq!(Some(d.position), position, "step {step}");
+                            assert_eq!(d.queue_len, queue_len, "step {step}");
+                            rules_seen[rule as usize] += 1;
+                        }
+                    }
+                    _ => {
+                        let request = RequestId(1 + rng.next_u64() % arrivals.max(1));
+                        let update = hint(now_us, [5, 30, 200][(rng.next_u64() % 3) as usize]);
+                        das.on_hint(request, update, now);
+                        for o in &mut naive.shadow {
+                            if o.tag.op.request == request {
+                                o.tag.bottleneck_eta = update.bottleneck_eta;
+                                o.tag.bottleneck_demand = update.remaining_demand;
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(das.len(), naive.shadow.len());
+            assert!(
+                rules_seen[DequeueRule::MinRank as usize] > 500,
+                "{rules_seen:?}"
+            );
+        }
     }
 
     #[test]

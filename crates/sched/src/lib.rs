@@ -33,7 +33,10 @@
 //!     enqueued_at: now,
 //! };
 //! sched.enqueue(op, now);
-//! assert_eq!(sched.dequeue(now).unwrap().tag.op.request, RequestId(1));
+//! // Every dequeue returns the op and the decision that chose it.
+//! let (served, decision) = sched.dequeue(now).unwrap();
+//! assert_eq!(served.tag.op.request, RequestId(1));
+//! assert_eq!((decision.position, decision.queue_len), (0, 1));
 //! ```
 
 #![forbid(unsafe_code)]

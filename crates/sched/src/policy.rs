@@ -43,7 +43,67 @@ pub enum PolicyKind {
     },
 }
 
+/// A policy knob outside its valid range (see [`PolicyKind::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PolicyError {
+    /// A DAS knob that must be finite and `>= 0` was not.
+    DasKnobOutOfRange {
+        /// `"aging"` or `"starvation_factor"`.
+        knob: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// `rein_ml` `levels` fell outside `2..=64`.
+    LevelsOutOfRange {
+        /// The offending value.
+        levels: usize,
+    },
+}
+
+/// Upper bound on `rein_ml` levels accepted from a config: the bands are
+/// spaced by factors of 4, so 64 of them already span 4^64 in demand, and
+/// the bound keeps an outside config from sizing an allocation.
+const MAX_REIN_LEVELS: usize = 64;
+
+impl std::fmt::Display for PolicyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PolicyError::DasKnobOutOfRange { knob, value } => {
+                write!(f, "das {knob} must be finite and >= 0, got {value}")
+            }
+            PolicyError::LevelsOutOfRange { levels } => write!(
+                f,
+                "rein_ml levels must be in 2..={MAX_REIN_LEVELS}, got {levels}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PolicyError {}
+
 impl PolicyKind {
+    /// Checks the knobs a config file can set, so a bad value is a typed
+    /// error at load time instead of a panic in [`PolicyKind::build`].
+    pub fn validate(&self) -> Result<(), PolicyError> {
+        match *self {
+            PolicyKind::Das { config } => {
+                for (knob, value) in [
+                    ("aging", config.aging),
+                    ("starvation_factor", config.starvation_factor),
+                ] {
+                    if !(value.is_finite() && value >= 0.0) {
+                        return Err(PolicyError::DasKnobOutOfRange { knob, value });
+                    }
+                }
+                Ok(())
+            }
+            PolicyKind::ReinMl { levels } if !(2..=MAX_REIN_LEVELS).contains(&levels) => {
+                Err(PolicyError::LevelsOutOfRange { levels })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// DAS with default configuration.
     pub fn das() -> Self {
         PolicyKind::Das {
@@ -163,6 +223,58 @@ mod tests {
             let json = serde_json::to_string(&p).unwrap();
             let back: PolicyKind = serde_json::from_str(&json).unwrap();
             assert_eq!(p, back);
+        }
+    }
+
+    #[test]
+    fn validate_accepts_every_shipped_policy() {
+        for p in PolicyKind::standard_set()
+            .into_iter()
+            .chain(PolicyKind::ablation_set())
+            .chain([PolicyKind::oracle(), PolicyKind::ReinMl { levels: 2 }])
+        {
+            assert_eq!(p.validate(), Ok(()), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_aging() {
+        for aging in [-1.0, f64::NAN, f64::INFINITY] {
+            let config = DasConfig {
+                aging,
+                ..Default::default()
+            };
+            assert!(matches!(
+                PolicyKind::Das { config }.validate(),
+                Err(PolicyError::DasKnobOutOfRange { knob: "aging", .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_bad_starvation_factor() {
+        for starvation_factor in [-0.5, f64::NAN, f64::NEG_INFINITY] {
+            let config = DasConfig {
+                starvation_factor,
+                ..Default::default()
+            };
+            assert!(matches!(
+                PolicyKind::Das { config }.validate(),
+                Err(PolicyError::DasKnobOutOfRange {
+                    knob: "starvation_factor",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_rein_ml_levels_out_of_range() {
+        for levels in [0, 1, MAX_REIN_LEVELS + 1] {
+            assert_eq!(
+                PolicyKind::ReinMl { levels }.validate(),
+                Err(PolicyError::LevelsOutOfRange { levels })
+            );
         }
     }
 

@@ -17,7 +17,7 @@ use das_sim::stats::Ewma;
 use das_sim::time::{SimDuration, SimTime};
 
 use crate::baselines::das_net_tag_bytes;
-use crate::scheduler::{KeyedQueue, Scheduler};
+use crate::scheduler::{DequeueDecision, KeyedQueue, Scheduler};
 use crate::types::QueuedOp;
 
 /// Exact Shortest-Bottleneck-First (Rein-SBF).
@@ -40,7 +40,7 @@ impl Scheduler for ReinSbf {
     fn enqueue(&mut self, op: QueuedOp, _now: SimTime) {
         self.queue.push(op.tag.bottleneck_demand.as_nanos(), op);
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
         self.queue.pop()
     }
     fn len(&self) -> usize {
@@ -104,10 +104,11 @@ impl Scheduler for Rein2L {
             self.low.push_back(op);
         }
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
+        let queue_len = self.len();
         let op = self.high.pop_front().or_else(|| self.low.pop_front())?;
         self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        Some(op)
+        Some((op, DequeueDecision::policy_order(queue_len)))
     }
     fn len(&self) -> usize {
         self.high.len() + self.low.len()
@@ -165,10 +166,11 @@ impl Scheduler for ReinMultiLevel {
         self.queued_work += op.local_estimate;
         self.levels[level].push_back(op);
     }
-    fn dequeue(&mut self, _now: SimTime) -> Option<QueuedOp> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
+        let queue_len = self.len();
         let op = self.levels.iter_mut().find_map(|l| l.pop_front())?;
         self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        Some(op)
+        Some((op, DequeueDecision::policy_order(queue_len)))
     }
     fn len(&self) -> usize {
         self.levels.iter().map(|l| l.len()).sum()
@@ -211,8 +213,8 @@ mod tests {
         // Request 1 has a tiny local op but a huge bottleneck elsewhere.
         s.enqueue(op(1, 1, 10_000), now);
         s.enqueue(op(2, 500, 500), now);
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
     }
 
     #[test]
@@ -221,7 +223,7 @@ mod tests {
         let now = SimTime::ZERO;
         s.enqueue(op(1, 10, 100), now);
         s.enqueue(op(2, 10, 100), now);
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
     }
 
     #[test]
@@ -235,8 +237,8 @@ mod tests {
         // first despite arriving later.
         s.enqueue(op(1, 10, 100_000), now);
         s.enqueue(op(2, 10, 10), now);
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
         assert!(s.threshold_secs().unwrap() > 0.0);
     }
 
@@ -248,7 +250,7 @@ mod tests {
         s.enqueue(op(2, 10, 100), now);
         s.enqueue(op(3, 10, 100), now);
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(now))
-            .map(|o| o.tag.op.request.0)
+            .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -265,8 +267,8 @@ mod tests {
         // A giant lands in a lower level than a tiny one.
         s.enqueue(op(1, 10, 64_000), now); // 64x mean
         s.enqueue(op(2, 10, 15), now); // tiny
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
     }
 
     #[test]
@@ -275,8 +277,8 @@ mod tests {
         let now = SimTime::ZERO;
         s.enqueue(op(1, 10, 500), now);
         s.enqueue(op(2, 10, 500), now);
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(2));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
         assert_eq!(s.name(), "Rein-ML");
     }
 

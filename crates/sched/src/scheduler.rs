@@ -2,10 +2,11 @@
 //!
 //! A scheduler owns the server's wait queue. The simulated (or real) server
 //! calls [`Scheduler::enqueue`] when an operation arrives and
-//! [`Scheduler::dequeue`] whenever a worker frees up. Schedulers are
-//! strictly local: the only remote information available is what arrives in
-//! each op's [`OpTag`](crate::types::OpTag) and, for hint-driven policies,
-//! through [`Scheduler::on_hint`].
+//! [`Scheduler::dequeue`] whenever a worker frees up; every dequeue returns
+//! the op together with the [`DequeueDecision`] that chose it. Schedulers
+//! are strictly local: the only remote information available is what
+//! arrives in each op's [`OpTag`](crate::types::OpTag) and, for hint-driven
+//! policies, through [`Scheduler::on_hint`].
 
 use das_sim::time::{SimDuration, SimTime};
 
@@ -13,8 +14,8 @@ use crate::types::{HintUpdate, QueuedOp, RequestId};
 
 /// Which selection rule produced a dequeue decision.
 ///
-/// Used by the tracing layer to explain *why* a scheduler picked the op it
-/// did. Disciplines that always serve their own head-of-queue report
+/// Tells the tracing layer *why* a scheduler picked the op it did.
+/// Disciplines that always serve their own head-of-queue report
 /// [`DequeueRule::PolicyOrder`]; DAS distinguishes its three rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DequeueRule {
@@ -52,6 +53,19 @@ pub struct DequeueDecision {
     pub queue_len: u32,
 }
 
+impl DequeueDecision {
+    /// The decision of a discipline that served the head of its own
+    /// ordering out of `queue_len` waiting ops. Such disciplines do not
+    /// track arrival positions and report 0.
+    pub fn policy_order(queue_len: usize) -> Self {
+        DequeueDecision {
+            rule: DequeueRule::PolicyOrder,
+            position: 0,
+            queue_len: queue_len as u32,
+        }
+    }
+}
+
 /// A per-server, non-preemptive queue discipline.
 pub trait Scheduler: Send {
     /// Stable machine-readable name (used as the row label in every table).
@@ -60,31 +74,10 @@ pub trait Scheduler: Send {
     /// Adds an operation to the wait queue.
     fn enqueue(&mut self, op: QueuedOp, now: SimTime);
 
-    /// Removes and returns the next operation to serve, or `None` if the
-    /// queue is empty.
-    fn dequeue(&mut self, now: SimTime) -> Option<QueuedOp>;
-
-    /// [`Scheduler::dequeue`] plus an explanation of the decision, for the
-    /// tracing layer. Must pick **exactly** the op `dequeue` would have
-    /// picked — the engine switches between the two based on whether
-    /// tracing is on, and simulation results must not change.
-    ///
-    /// The default delegates to `dequeue` and reports
-    /// [`DequeueRule::PolicyOrder`] with position 0 (head-of-own-ordering
-    /// disciplines don't track arrival-order positions). DAS overrides it
-    /// to report which of its rules fired and where the op sat.
-    fn dequeue_explained(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
-        let queue_len = self.len() as u32;
-        let op = self.dequeue(now)?;
-        Some((
-            op,
-            DequeueDecision {
-                rule: DequeueRule::PolicyOrder,
-                position: 0,
-                queue_len,
-            },
-        ))
-    }
+    /// Removes and returns the next operation to serve together with the
+    /// rule and arrival position that chose it, or `None` if the queue is
+    /// empty.
+    fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)>;
 
     /// Number of queued operations.
     fn len(&self) -> usize;
@@ -127,7 +120,7 @@ pub trait Scheduler: Send {
     /// repeatedly dequeues, which is correct for any discipline.
     fn drain(&mut self, now: SimTime) -> Vec<QueuedOp> {
         let mut out = Vec::with_capacity(self.len());
-        while let Some(op) = self.dequeue(now) {
+        while let Some((op, _)) = self.dequeue(now) {
             out.push(op);
         }
         out
@@ -197,11 +190,13 @@ impl KeyedQueue {
         self.heap.push(Entry { key, seq, op });
     }
 
-    /// Removes the lowest-key (oldest on ties) operation.
-    pub fn pop(&mut self) -> Option<QueuedOp> {
+    /// Removes the lowest-key (oldest on ties) operation: the head of the
+    /// keyed order, so the decision is [`DequeueDecision::policy_order`].
+    pub fn pop(&mut self) -> Option<(QueuedOp, DequeueDecision)> {
+        let queue_len = self.heap.len();
         let e = self.heap.pop()?;
         self.queued_work = self.queued_work.saturating_sub(e.op.local_estimate);
-        Some(e.op)
+        Some((e.op, DequeueDecision::policy_order(queue_len)))
     }
 
     /// Number of queued ops.
@@ -250,9 +245,9 @@ mod tests {
         q.push(5, op(1, 0, 10, t));
         q.push(3, op(2, 0, 10, t));
         q.push(5, op(3, 0, 10, t));
-        assert_eq!(q.pop().unwrap().tag.op.request, RequestId(2));
-        assert_eq!(q.pop().unwrap().tag.op.request, RequestId(1));
-        assert_eq!(q.pop().unwrap().tag.op.request, RequestId(3));
+        assert_eq!(q.pop().unwrap().0.tag.op.request, RequestId(2));
+        assert_eq!(q.pop().unwrap().0.tag.op.request, RequestId(1));
+        assert_eq!(q.pop().unwrap().0.tag.op.request, RequestId(3));
         assert!(q.pop().is_none());
     }
 

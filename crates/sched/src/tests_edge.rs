@@ -60,7 +60,7 @@ fn hint_for_unknown_request_is_harmless() {
         s.enqueue(op(1, 100, 200), now);
         s.on_hint(RequestId(999), update, now);
         assert_eq!(s.len(), 1, "{}", s.name());
-        assert_eq!(s.dequeue(now).unwrap().tag.op.request, RequestId(1));
+        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
     }
 }
 
@@ -70,7 +70,7 @@ fn single_op_always_served_immediately() {
     for policy in all_policies() {
         let mut s = policy.build();
         s.enqueue(op(7, 500, 5_000), now);
-        let got = s.dequeue(now).expect("single op must come out");
+        let (got, _) = s.dequeue(now).expect("single op must come out");
         assert_eq!(got.tag.op.request, RequestId(7), "{}", s.name());
     }
 }
@@ -106,12 +106,12 @@ fn policies_disagree_on_order_given_conflicting_signals() {
     let mut sjf = PolicyKind::Sjf.build();
     sjf.enqueue(a, now);
     sjf.enqueue(b, now);
-    assert_eq!(sjf.dequeue(now).unwrap().tag.op.request, RequestId(1));
+    assert_eq!(sjf.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
 
     let mut sbf = PolicyKind::ReinSbf.build();
     sbf.enqueue(a, now);
     sbf.enqueue(b, now);
-    assert_eq!(sbf.dequeue(now).unwrap().tag.op.request, RequestId(2));
+    assert_eq!(sbf.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
 }
 
 #[test]
@@ -128,8 +128,8 @@ fn das_oracle_and_das_share_ranking_logic() {
     }
     for _ in 0..3 {
         assert_eq!(
-            das.dequeue(now).unwrap().tag.op,
-            oracle.dequeue(now).unwrap().tag.op
+            das.dequeue(now).unwrap().0.tag.op,
+            oracle.dequeue(now).unwrap().0.tag.op
         );
     }
 }

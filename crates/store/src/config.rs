@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use das_net::faults::LinkFaults;
 use das_net::latency::NetworkConfig;
-use das_sched::policy::PolicyKind;
+use das_sched::policy::{PolicyError, PolicyKind};
 use das_sim::fault::FaultSchedule;
 use das_sim::time::SimDuration;
 use das_trace::TraceConfig;
@@ -175,6 +175,11 @@ pub enum ConfigError {
         /// What was wrong.
         reason: &'static str,
     },
+    /// A scheduling-policy knob was out of range.
+    PolicyInvalid {
+        /// Which knob, and its value.
+        reason: PolicyError,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -300,6 +305,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BatchBoundsInconsistent { reason } => {
                 write!(f, "batch coalescing bounds: {reason}")
             }
+            ConfigError::PolicyInvalid { reason } => write!(f, "policy: {reason}"),
         }
     }
 }
@@ -923,6 +929,9 @@ impl SimulationConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.cluster.validate()?;
+        self.policy
+            .validate()
+            .map_err(|reason| ConfigError::PolicyInvalid { reason })?;
         self.faults.validate(self.cluster.servers)?;
         self.overload.validate(self.faults.retry.deadline_secs)?;
         if !(self.horizon_secs.is_finite() && self.horizon_secs > 0.0) {
@@ -965,6 +974,37 @@ mod tests {
             SimulationConfig::new(PolicyKind::Fcfs, 10.0).validate(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn bad_policy_knobs_from_json_are_typed_config_errors() {
+        // Each of these used to pass validation and then panic on the
+        // constructor's assert inside `Engine::new`.
+        for (json, want) in [
+            (
+                r#"{"kind":"das","config":{"aging":-1.0,"starvation_factor":0.0,"fcfs_fallback_len":1,"use_remaining_bottleneck":true,"adaptive":true,"oracle":false}}"#,
+                PolicyError::DasKnobOutOfRange {
+                    knob: "aging",
+                    value: -1.0,
+                },
+            ),
+            (
+                r#"{"kind":"das","config":{"aging":0.1,"starvation_factor":-2.0,"fcfs_fallback_len":1,"use_remaining_bottleneck":true,"adaptive":true,"oracle":false}}"#,
+                PolicyError::DasKnobOutOfRange {
+                    knob: "starvation_factor",
+                    value: -2.0,
+                },
+            ),
+            (
+                r#"{"kind":"rein_ml","levels":1}"#,
+                PolicyError::LevelsOutOfRange { levels: 1 },
+            ),
+        ] {
+            let policy: PolicyKind = serde_json::from_str(json).unwrap();
+            let err = SimulationConfig::new(policy, 10.0).validate().unwrap_err();
+            assert_eq!(err, ConfigError::PolicyInvalid { reason: want });
+            assert!(err.to_string().starts_with("policy: "), "{err}");
+        }
     }
 
     #[test]

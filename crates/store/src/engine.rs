@@ -15,8 +15,8 @@ use das_metrics::slowdown::SlowdownTracker;
 use das_metrics::summary::LatencySummary;
 use das_metrics::timeseries::TimeSeries;
 use das_net::accounting::{wire, TrafficAccounting, TrafficClass};
+use das_net::faults::{LinkFaults, MessageFate};
 use das_net::latency::NetworkModel;
-use das_sched::scheduler::DequeueDecision;
 use das_sched::types::{HintUpdate, OpId, OpTag, QueuedOp, RequestId, ServerId, ServerReport};
 use das_sim::dist::{Lognormal, Sample};
 use das_sim::queue::EventQueue;
@@ -245,6 +245,16 @@ struct FaultRuntime {
     /// short by crashes). `wasted = total - goodput` at the end of the run.
     total_service_secs: f64,
     goodput_service_secs: f64,
+}
+
+/// The fate of one message on `link`: rolled from the fault stream when
+/// the fault layer is on, [`MessageFate::CLEAN`] (and no draw) when it is
+/// off.
+fn link_fate(link: &LinkFaults, fault: Option<&mut FaultRuntime>) -> MessageFate {
+    match fault {
+        Some(fr) => link.decide(&mut fr.rng),
+        None => MessageFate::CLEAN,
+    }
 }
 
 /// Everything the engine tracks only when any overload-control knob is
@@ -966,6 +976,8 @@ impl<'a> Engine<'a> {
                     bytes: req_bytes,
                 });
             }
+            let fate = link_fate(&self.config.faults.request_faults, self.fault.as_mut());
+            self.deliver_op(tag, server, req_bytes, fate, now);
             if self.fault.is_some() {
                 let candidates = candidate_sets
                     .iter()
@@ -973,26 +985,15 @@ impl<'a> Engine<'a> {
                     .map(|(_, set)| set.clone())
                     .filter(|set| !set.is_empty())
                     .unwrap_or_else(|| vec![server]);
-                self.dispatch_first_attempt(
-                    tag,
+                self.track_first_attempt(
+                    op_id,
                     server,
                     candidates,
                     keys,
                     written,
                     service_est,
-                    req_bytes,
                     now,
                 );
-            } else {
-                let delay = self.net.delay(req_bytes, &mut self.net_rng);
-                let op = QueuedOp {
-                    tag,
-                    local_estimate: tag.local_estimate,
-                    // Stamped on arrival at the server (see OpArrival).
-                    enqueued_at: now + delay,
-                };
-                self.queue
-                    .schedule(now + delay, Event::OpArrival { server, op });
             }
             ops.push(PendingOp {
                 server,
@@ -1019,36 +1020,47 @@ impl<'a> Engine<'a> {
         self.accepted += 1;
     }
 
-    /// Fault-mode initial dispatch of one op: delivery by link fate,
-    /// attempt tracking, deadline, and (for hedgeable reads) the hedge
-    /// timer. The wire/coordinator charges were already applied by
-    /// `handle_request`.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_first_attempt(
+    /// Sends one dispatch of an op to `server`: one `OpArrival` per copy
+    /// the link lets through, each with its own network delay. The single
+    /// delivery path for first attempts, retries and hedges, with or
+    /// without the fault layer.
+    fn deliver_op(
         &mut self,
         tag: OpTag,
         server: ServerId,
-        candidates: Vec<ServerId>,
-        keys: u32,
-        written: u64,
-        service_est: f64,
         req_bytes: u64,
+        fate: MessageFate,
         now: SimTime,
     ) {
-        // das-lint: allow(unwrap-lib): fault state is only taken within one handler at a time
-        let mut fr = self.fault.take().expect("fault mode");
-        let op_id = tag.op;
-        let fate = self.config.faults.request_faults.decide(&mut fr.rng);
         for _ in 0..fate.copies {
             let delay = self.net.delay(req_bytes, &mut self.net_rng) + fate.extra_delay;
             let op = QueuedOp {
                 tag,
                 local_estimate: tag.local_estimate,
+                // Stamped on arrival at the server (see OpArrival).
                 enqueued_at: now + delay,
             };
             self.queue
                 .schedule(now + delay, Event::OpArrival { server, op });
         }
+    }
+
+    /// Fault-mode bookkeeping for the initial dispatch of one op (already
+    /// delivered by `handle_request`): attempt tracking, deadline, and (for
+    /// hedgeable reads) the hedge timer.
+    #[allow(clippy::too_many_arguments)]
+    fn track_first_attempt(
+        &mut self,
+        op_id: OpId,
+        server: ServerId,
+        candidates: Vec<ServerId>,
+        keys: u32,
+        written: u64,
+        service_est: f64,
+        now: SimTime,
+    ) {
+        // das-lint: allow(unwrap-lib): fault state is only taken within one handler at a time
+        let mut fr = self.fault.take().expect("fault mode");
         let mut rt = OpRuntime {
             candidates,
             keys,
@@ -1180,17 +1192,8 @@ impl<'a> Engine<'a> {
                 bytes: req_bytes,
             });
         }
-        let fate = self.config.faults.request_faults.decide(&mut fr.rng);
-        for _ in 0..fate.copies {
-            let delay = self.net.delay(req_bytes, &mut self.net_rng) + fate.extra_delay;
-            let op = QueuedOp {
-                tag,
-                local_estimate: tag.local_estimate,
-                enqueued_at: now + delay,
-            };
-            self.queue
-                .schedule(now + delay, Event::OpArrival { server, op });
-        }
+        let fate = link_fate(&self.config.faults.request_faults, Some(fr));
+        self.deliver_op(tag, server, req_bytes, fate, now);
         let retry = &self.config.faults.retry;
         if retry.enabled() {
             self.queue.schedule(
@@ -1219,58 +1222,42 @@ impl<'a> Engine<'a> {
                 response: 0,
             };
             let service_of = |op: &QueuedOp| {
-                let bytes = op_bytes.get(&op.tag.op).copied().unwrap_or(OpBytes {
-                    service: 0,
-                    response: 0,
-                });
-                served = bytes;
-                let bytes = bytes.service;
+                if let Some(bytes) = op_bytes.get(&op.tag.op) {
+                    served = *bytes;
+                }
                 let rate = cluster.base_rate_bytes_per_sec
                     * cluster.rate_multiplier(server.0, now.as_secs_f64());
                 SimDuration::from_secs_f64(
-                    cluster.per_op_overhead.as_secs_f64() + bytes as f64 / rate,
+                    cluster.per_op_overhead.as_secs_f64() + served.service as f64 / rate,
                 )
             };
-            // The explained variant picks the exact same op; the decision
-            // record exists only when tracing wants it.
-            let started: Option<(QueuedOp, SimTime, Option<DequeueDecision>)> =
-                if self.trace.is_some() {
-                    s.try_start_service_explained(now, service_of)
-                        .map(|(op, end, d)| (op, end, Some(d)))
-                } else {
-                    s.try_start_service(now, service_of).map(|(op, end)| (op, end, None))
-                };
-            match started {
-                Some((op, end, decision)) => {
-                    let incarnation = self.servers[server.0 as usize].incarnation();
-                    self.queue.schedule(
-                        end,
-                        Event::ServiceDone {
-                            server,
-                            op: op.tag.op,
-                            bytes: served.response,
-                            service: end.saturating_since(now),
-                            incarnation,
-                        },
-                    );
-                    if let Some(d) = decision {
-                        if self.traced(op.tag.op.request) {
-                            self.trace_event(TraceEvent::SchedDecision {
-                                t_ns: now.as_nanos(),
-                                request: op.tag.op.request.0,
-                                op: op.tag.op.index,
-                                server: server.0,
-                                rule: d.rule.as_str().to_string(),
-                                position: d.position,
-                                queue_len: d.queue_len,
-                            });
-                        }
-                    }
-                    if self.overload.is_some() {
-                        self.maybe_batch(server, op.tag.op, served.service, end, incarnation, now);
-                    }
-                }
-                None => return,
+            let Some((op, end, decision)) = s.try_start_service(now, service_of) else {
+                return;
+            };
+            let incarnation = s.incarnation();
+            self.queue.schedule(
+                end,
+                Event::ServiceDone {
+                    server,
+                    op: op.tag.op,
+                    bytes: served.response,
+                    service: end.saturating_since(now),
+                    incarnation,
+                },
+            );
+            if self.traced(op.tag.op.request) {
+                self.trace_event(TraceEvent::SchedDecision {
+                    t_ns: now.as_nanos(),
+                    request: op.tag.op.request.0,
+                    op: op.tag.op.index,
+                    server: server.0,
+                    rule: decision.rule.as_str().to_string(),
+                    position: decision.position,
+                    queue_len: decision.queue_len,
+                });
+            }
+            if self.overload.is_some() {
+                self.maybe_batch(server, op.tag.op, served.service, end, incarnation, now);
             }
         }
     }
@@ -1469,23 +1456,9 @@ impl<'a> Engine<'a> {
         } else {
             None
         };
-        if let Some(mut fr) = self.fault.take() {
-            let fate = self.config.faults.response_faults.decide(&mut fr.rng);
-            for _ in 0..fate.copies {
-                let delay = self.net.delay(resp_bytes, &mut self.net_rng) + fate.extra_delay;
-                self.queue.schedule(
-                    now + delay,
-                    Event::ResponseArrival {
-                        op,
-                        server,
-                        service,
-                        report,
-                    },
-                );
-            }
-            self.fault = Some(fr);
-        } else {
-            let delay = self.net.delay(resp_bytes, &mut self.net_rng);
+        let fate = link_fate(&self.config.faults.response_faults, self.fault.as_mut());
+        for _ in 0..fate.copies {
+            let delay = self.net.delay(resp_bytes, &mut self.net_rng) + fate.extra_delay;
             self.queue.schedule(
                 now + delay,
                 Event::ResponseArrival {
@@ -1517,35 +1490,31 @@ impl<'a> Engine<'a> {
             }
             return;
         }
-        if let Some(mut fr) = self.fault.take() {
-            let accepted = self.accept_response(&mut fr, op, server, service, now);
-            self.fault = Some(fr);
-            if self.traced(op.request) {
-                self.trace_event(TraceEvent::OpResponse {
-                    t_ns: now.as_nanos(),
-                    request: op.request.0,
-                    op: op.index,
-                    server: server.0,
-                    accepted,
-                });
+        let accepted = match self.fault.take() {
+            Some(mut fr) => {
+                let accepted = self.accept_response(&mut fr, op, server, service, now);
+                self.fault = Some(fr);
+                accepted
             }
-            if !accepted {
-                return;
+            None => {
+                self.op_bytes.remove(&op);
+                if let Some(ov) = &mut self.overload {
+                    ov.goodput_service_secs += service.as_secs_f64();
+                }
+                true
             }
-        } else {
-            self.op_bytes.remove(&op);
-            if let Some(ov) = &mut self.overload {
-                ov.goodput_service_secs += service.as_secs_f64();
-            }
-            if self.traced(op.request) {
-                self.trace_event(TraceEvent::OpResponse {
-                    t_ns: now.as_nanos(),
-                    request: op.request.0,
-                    op: op.index,
-                    server: server.0,
-                    accepted: true,
-                });
-            }
+        };
+        if self.traced(op.request) {
+            self.trace_event(TraceEvent::OpResponse {
+                t_ns: now.as_nanos(),
+                request: op.request.0,
+                op: op.index,
+                server: server.0,
+                accepted,
+            });
+        }
+        if !accepted {
+            return;
         }
         let wants_hints = self.wants_hints;
         // Phase 1: update the owning coordinator's request state and

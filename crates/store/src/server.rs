@@ -100,25 +100,9 @@ impl Server {
 
     /// If a worker is idle and the queue is non-empty, starts service on the
     /// scheduler's pick and returns it with its completion instant
-    /// (`now + service`). The caller supplies the true service time.
+    /// (`now + service`) and the scheduler's decision (which rule picked
+    /// it, from where). The caller supplies the true service time.
     pub fn try_start_service(
-        &mut self,
-        now: SimTime,
-        service_of: impl FnOnce(&QueuedOp) -> SimDuration,
-    ) -> Option<(QueuedOp, SimTime)> {
-        if !self.has_idle_worker() {
-            return None;
-        }
-        let op = self.scheduler.dequeue(now)?;
-        Some(self.start(op, now, service_of))
-    }
-
-    /// [`Server::try_start_service`] plus the scheduler's explanation of
-    /// *why* it picked the op — used by the engine only while tracing.
-    /// Picks the identical op (see
-    /// [`Scheduler::dequeue_explained`]), so traced and untraced runs
-    /// cannot diverge.
-    pub fn try_start_service_explained(
         &mut self,
         now: SimTime,
         service_of: impl FnOnce(&QueuedOp) -> SimDuration,
@@ -126,18 +110,7 @@ impl Server {
         if !self.has_idle_worker() {
             return None;
         }
-        let (op, decision) = self.scheduler.dequeue_explained(now)?;
-        let (op, end) = self.start(op, now, service_of);
-        Some((op, end, decision))
-    }
-
-    /// Occupies a worker with `op` and books its service time.
-    fn start(
-        &mut self,
-        op: QueuedOp,
-        now: SimTime,
-        service_of: impl FnOnce(&QueuedOp) -> SimDuration,
-    ) -> (QueuedOp, SimTime) {
+        let (op, decision) = self.scheduler.dequeue(now)?;
         let service = service_of(&op);
         let end = now + service;
         self.busy_workers += 1;
@@ -148,14 +121,14 @@ impl Server {
             frees_worker: true,
         });
         self.busy_time += service;
-        (op, end)
+        Some((op, end, decision))
     }
 
     /// Dequeues the scheduler's next pick *without* occupying a worker —
     /// the op will ride an already-busy worker as a batch follower. The
     /// caller must follow up with [`Server::attach_batch_follower`].
     pub fn dequeue_batch_follower(&mut self, now: SimTime) -> Option<QueuedOp> {
-        self.scheduler.dequeue(now)
+        self.scheduler.dequeue(now).map(|(op, _)| op)
     }
 
     /// Books `op` onto the worker already occupied by the visit whose last
@@ -320,15 +293,18 @@ mod tests {
         let now = SimTime::ZERO;
         s.enqueue(op(1, 100), now);
         s.enqueue(op(2, 100), now);
-        let (first, end1) = s
+        let (first, end1, d) = s
             .try_start_service(now, |_| SimDuration::from_micros(100))
             .unwrap();
         assert_eq!(first.tag.op.request, RequestId(1));
         assert_eq!(end1, SimTime::from_micros(100));
+        // The scheduler's decision rides along: FCFS head of a 2-deep queue.
+        assert_eq!(d.rule, das_sched::scheduler::DequeueRule::PolicyOrder);
+        assert_eq!(d.queue_len, 2);
         // Worker busy: second op must wait.
         assert!(s.try_start_service(now, |_| SimDuration::ZERO).is_none());
         s.complete_service(end1, 50);
-        let (second, _) = s
+        let (second, _, _) = s
             .try_start_service(end1, |_| SimDuration::from_micros(100))
             .unwrap();
         assert_eq!(second.tag.op.request, RequestId(2));
@@ -360,7 +336,7 @@ mod tests {
         let now = SimTime::ZERO;
         s.enqueue(op(1, 100), now);
         s.enqueue(op(2, 300), now);
-        let (_, end) = s
+        let (_, end, _) = s
             .try_start_service(now, |_| SimDuration::from_micros(100))
             .unwrap();
         // In service: 100us remaining; queued: 300us estimate.
@@ -379,7 +355,7 @@ mod tests {
         let mut s = server(1);
         let now = SimTime::ZERO;
         s.enqueue(op(1, 100), now);
-        let (_, end) = s
+        let (_, end, _) = s
             .try_start_service(now, |_| SimDuration::from_micros(100))
             .unwrap();
         s.complete_service(end, 1);
@@ -394,7 +370,7 @@ mod tests {
         assert_eq!(s.incarnation(), 0);
         s.enqueue(op(1, 100), now);
         s.enqueue(op(2, 100), now);
-        let (_, _end) = s
+        let (_, _end, _) = s
             .try_start_service(now, |_| SimDuration::from_micros(100))
             .unwrap();
         // Crash halfway through service: 50us of real work was done.
@@ -427,7 +403,7 @@ mod tests {
         s.enqueue(op(1, 100), now);
         s.enqueue(op(2, 100), now);
         s.enqueue(op(3, 100), now);
-        let (leader, end1) = s
+        let (leader, end1, _) = s
             .try_start_service(now, |_| SimDuration::from_micros(100))
             .unwrap();
         assert_eq!(leader.tag.op.request, RequestId(1));
@@ -458,7 +434,7 @@ mod tests {
         let now = SimTime::ZERO;
         s.enqueue(op(1, 100), now);
         s.enqueue(op(2, 100), now);
-        let (_, end1) = s
+        let (_, end1, _) = s
             .try_start_service(now, |_| SimDuration::from_micros(100))
             .unwrap();
         let f = s.dequeue_batch_follower(now).unwrap();
@@ -468,32 +444,6 @@ mod tests {
         let (_, in_service) = s.crash(SimTime::from_micros(50));
         assert_eq!(in_service.len(), 2);
         assert_eq!(s.busy_time(), SimDuration::from_micros(50));
-    }
-
-    #[test]
-    fn explained_start_matches_plain_start() {
-        use das_sched::scheduler::DequeueRule;
-        let mut a = server(1);
-        let mut b = server(1);
-        let now = SimTime::ZERO;
-        for s in [&mut a, &mut b] {
-            s.enqueue(op(1, 100), now);
-            s.enqueue(op(2, 100), now);
-        }
-        let (pa, ea) = a
-            .try_start_service(now, |_| SimDuration::from_micros(100))
-            .unwrap();
-        let (pb, eb, d) = b
-            .try_start_service_explained(now, |_| SimDuration::from_micros(100))
-            .unwrap();
-        assert_eq!(pa.tag.op, pb.tag.op);
-        assert_eq!(ea, eb);
-        assert_eq!(d.rule, DequeueRule::PolicyOrder);
-        assert_eq!(d.queue_len, 2);
-        // Worker busy either way.
-        assert!(b
-            .try_start_service_explained(now, |_| SimDuration::ZERO)
-            .is_none());
     }
 
     #[test]

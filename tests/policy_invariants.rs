@@ -161,3 +161,74 @@ fn slowdown_classes_are_populated() {
     assert_eq!(total, run.measured);
     assert!(run.slowdown.overall_mean() >= 1.0);
 }
+
+#[test]
+fn every_dequeue_decision_describes_the_queue_it_came_from() {
+    use das_repro::sched::types::{HintUpdate, OpId, OpTag, QueuedOp, RequestId};
+    use das_repro::sim::rng::SeedFactory;
+    use das_repro::sim::time::{SimDuration, SimTime};
+    use rand::RngCore;
+
+    // A seeded random interleaving of enqueue / dequeue / on_hint / drain
+    // against the bare scheduler of every policy.
+    for (seed, policy) in all_policies().into_iter().enumerate() {
+        let mut rng = SeedFactory::new(seed as u64).stream("decisions", 0);
+        let mut s = policy.build();
+        let (mut now, mut enqueued, mut served) = (SimTime::ZERO, 0u64, 0u64);
+        for _ in 0..3_000 {
+            now += SimDuration::from_micros(rng.next_u64() % 50);
+            match rng.next_u64() % 32 {
+                0..=14 => {
+                    let local = SimDuration::from_micros(1 + rng.next_u64() % 500);
+                    let bottleneck = local + SimDuration::from_micros(rng.next_u64() % 2_000);
+                    let tag = OpTag {
+                        op: OpId {
+                            request: RequestId(enqueued / 2),
+                            index: (enqueued % 2) as u32,
+                        },
+                        request_arrival: now,
+                        fanout: 2,
+                        local_estimate: local,
+                        bottleneck_eta: now + bottleneck,
+                        bottleneck_demand: bottleneck,
+                    };
+                    s.enqueue(
+                        QueuedOp {
+                            tag,
+                            local_estimate: local,
+                            enqueued_at: now,
+                        },
+                        now,
+                    );
+                    enqueued += 1;
+                }
+                15..=27 => {
+                    let len = s.len();
+                    match s.dequeue(now) {
+                        Some((_, d)) => {
+                            assert_eq!(d.queue_len as usize, len, "{}", s.name());
+                            assert!(d.position < d.queue_len, "{}: {d:?}", s.name());
+                            served += 1;
+                        }
+                        None => assert_eq!(len, 0, "{}", s.name()),
+                    }
+                }
+                28..=30 => {
+                    let update = HintUpdate {
+                        bottleneck_eta: now,
+                        remaining_demand: SimDuration::from_micros(rng.next_u64() % 300),
+                    };
+                    s.on_hint(RequestId(rng.next_u64() % (enqueued / 2 + 1)), update, now);
+                }
+                _ => {
+                    served += s.drain(now).len() as u64;
+                    assert!(s.is_empty(), "{}", s.name());
+                    assert_eq!(s.queued_work(), SimDuration::ZERO, "{}", s.name());
+                }
+            }
+        }
+        served += s.drain(now).len() as u64;
+        assert_eq!(served, enqueued, "{}", s.name());
+        assert_eq!(s.queued_work(), SimDuration::ZERO, "{}", s.name());
+    }
+}

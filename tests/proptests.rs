@@ -66,7 +66,7 @@ proptest! {
             }
             prop_assert_eq!(sched.len(), ops.len());
             let mut drained: Vec<OpId> = Vec::new();
-            while let Some(op) = sched.dequeue(now) {
+            while let Some((op, _)) = sched.dequeue(now) {
                 drained.push(op.tag.op);
             }
             prop_assert_eq!(sched.len(), 0);
