@@ -79,8 +79,10 @@ impl ChaosCase {
         }
     }
 
-    /// Validates the case: config invariants plus trace well-formedness.
+    /// Validates the case: workload and config invariants plus trace
+    /// well-formedness.
     pub fn validate(&self) -> Result<(), String> {
+        self.workload.validate().map_err(|e| e.to_string())?;
         self.sim_config(PolicyKind::Fcfs)
             .validate()
             .map_err(|e| e.to_string())?;
@@ -127,11 +129,13 @@ impl ChaosCase {
         run_simulation(&self.sim_config(policy), self.requests())
     }
 
-    /// Runs the FCFS/DAS pair over the identical request stream.
+    /// Runs the FCFS/DAS pair over the identical request stream, resolved
+    /// once.
     pub fn run_paired(&self) -> Result<PairedRun, String> {
+        let requests = self.requests();
         Ok(PairedRun {
-            fcfs: self.run_policy(PolicyKind::Fcfs)?,
-            das: self.run_policy(PolicyKind::das())?,
+            fcfs: run_simulation(&self.sim_config(PolicyKind::Fcfs), requests.clone())?,
+            das: run_simulation(&self.sim_config(PolicyKind::das()), requests)?,
         })
     }
 }

@@ -6,6 +6,8 @@
 //!                                                  run an experiment, print tables
 //! das_experiment template [rho]                    print a ready-to-edit config
 //! das_experiment policies                          list available policies
+//! das_experiment check <config.json>               validate the whole config, then
+//!                                                  check per-server offered load
 //! das_experiment trace <config.json> <out.jsonl>   record the workload as a trace
 //! das_experiment replay <config.json> <workload.jsonl> [--out <dir>]
 //!                       [--trace <base>] [--trace-sample <rate>]
@@ -132,7 +134,7 @@ fn print_usage() {
          das_experiment run <config.json> [--out <dir>] [--trace <base>] [--trace-sample <rate>] [--record-workload <out.jsonl>]\n  \
          das_experiment template [rho]\n  \
          das_experiment policies\n  \
-         das_experiment check <config.json>\n  \
+         das_experiment check <config.json>    (validates the whole config, then checks per-server offered load)\n  \
          das_experiment trace <config.json> <out.jsonl>\n  \
          das_experiment replay <config.json> <workload.jsonl> [--out <dir>] [--trace <base>] [--trace-sample <rate>] [--faults <faults.json>] [--overload <overload.json>]\n  \
          das_experiment chaos [--seed N] [--budget N] [--out <dir>] [--oracles a,b,...] [--space <space.json>] [--shrink-budget N] [--no-shrink]\n  \
@@ -142,10 +144,13 @@ fn print_usage() {
     );
 }
 
+/// Reads and validates a config, so every subcommand rejects a bad knob
+/// here with a typed `error: …` line instead of panicking mid-run.
 fn load_config(path: &str) -> Result<ExperimentConfig, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let config: ExperimentConfig =
         serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    config.validate().map_err(|e| e.to_string())?;
     Ok(config)
 }
 
@@ -402,7 +407,6 @@ fn cmd_policies() -> Result<(), String> {
 fn cmd_check(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("check: missing <config.json>")?;
     let config = load_config(path)?;
-    config.cluster.validate().map_err(|e| e.to_string())?;
     let w = &config.workload;
     let c = &config.cluster;
     let rate = w

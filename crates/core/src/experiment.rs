@@ -8,12 +8,37 @@ use das_net::accounting::TrafficClass;
 use das_sched::policy::PolicyKind;
 use das_sim::rng::SeedFactory;
 use das_sim::time::SimTime;
-use das_store::config::{ClusterConfig, FaultProfile, OverloadProfile, SimulationConfig};
+use das_store::config::{
+    ClusterConfig, ConfigError, FaultProfile, OverloadProfile, SimulationConfig,
+};
 use das_trace::TraceConfig;
 use das_store::engine::{run_simulation, RunResult};
 use das_workload::generator::{RequestSpec, WorkloadGenerator, WorkloadSpec};
+use das_workload::spec::WorkloadError;
 
 use crate::adapter::{trace_to_requests, RequestStream};
+
+/// Why an [`ExperimentConfig`] cannot run: the first invalid knob of its
+/// workload, or of the simulation config it builds per policy.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExperimentError {
+    /// The workload spec is invalid.
+    Workload(WorkloadError),
+    /// The cluster, a policy, the horizon/warmup/bin, or the fault,
+    /// overload or trace profile is invalid.
+    Simulation(ConfigError),
+}
+
+impl std::fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExperimentError::Workload(e) => write!(f, "workload: {e}"),
+            ExperimentError::Simulation(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {}
 
 /// A full experiment: one workload, one cluster, many policies.
 ///
@@ -85,8 +110,26 @@ impl ExperimentConfig {
         }
     }
 
+    /// Checks the whole config — workload, cluster, every policy, run
+    /// lengths, fault/overload/trace profiles — so that nothing read from
+    /// outside reaches a constructor assert. [`ExperimentConfig::run`] and
+    /// [`ExperimentConfig::run_trace`] call this first.
+    pub fn validate(&self) -> Result<(), ExperimentError> {
+        self.workload.validate().map_err(ExperimentError::Workload)?;
+        // FCFS has no knobs, so this checks everything the per-policy
+        // configs share (even when the policy list is empty).
+        self.sim_config(PolicyKind::Fcfs)
+            .validate()
+            .map_err(ExperimentError::Simulation)?;
+        self.policies.iter().try_for_each(|p| {
+            p.validate()
+                .map_err(|reason| ExperimentError::Simulation(ConfigError::PolicyInvalid { reason }))
+        })
+    }
+
     /// Runs every policy and collects the results.
     pub fn run(&self) -> Result<ExperimentResult, String> {
+        self.validate().map_err(|e| e.to_string())?;
         let seeds = SeedFactory::new(self.seed);
         let horizon = SimTime::from_secs_f64(self.horizon_secs);
         let mut runs = Vec::with_capacity(self.policies.len());
@@ -110,11 +153,12 @@ impl ExperimentConfig {
     /// seed — while the policy, cluster, fault, and overload knobs are
     /// free to differ from the recording run.
     pub fn run_trace(&self, trace: &[RequestSpec]) -> Result<ExperimentResult, String> {
-        let seeds = SeedFactory::new(self.seed);
+        self.validate().map_err(|e| e.to_string())?;
+        // Resolved once (key space, replay order), cloned per policy.
+        let requests = trace_to_requests(trace, &self.workload, &SeedFactory::new(self.seed));
         let mut runs = Vec::with_capacity(self.policies.len());
         for &policy in &self.policies {
-            let requests = trace_to_requests(trace, &self.workload, &seeds);
-            runs.push(run_simulation(&self.sim_config(policy), requests)?);
+            runs.push(run_simulation(&self.sim_config(policy), requests.clone())?);
         }
         Ok(ExperimentResult {
             name: self.name.clone(),
@@ -403,5 +447,40 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(e, back);
+    }
+
+    #[test]
+    fn validate_composes_workload_and_simulation_checks() {
+        let ok = quick_experiment();
+        assert_eq!(ok.validate(), Ok(()));
+        let rejected = |edit: &dyn Fn(&mut ExperimentConfig)| {
+            let mut e = ok.clone();
+            edit(&mut e);
+            // `run` and `run_trace` refuse what `validate` refuses.
+            let message = e.validate().unwrap_err().to_string();
+            assert_eq!(e.run().unwrap_err(), message);
+            assert_eq!(e.run_trace(&[]).unwrap_err(), message);
+            message
+        };
+        assert_eq!(
+            rejected(&|e| e.workload.n_keys = 0),
+            "workload: n_keys must be >= 1"
+        );
+        assert_eq!(
+            rejected(&|e| e.rct_timeseries_bin_secs = Some(0.0)),
+            "rct_timeseries_bin_secs must be finite and positive, got 0"
+        );
+        assert_eq!(
+            rejected(&|e| e.policies.push(PolicyKind::ReinMl { levels: 1 })),
+            "policy: rein_ml levels must be in 2..=64, got 1"
+        );
+        // The shared knobs are checked even with no policy to run.
+        assert_eq!(
+            rejected(&|e| {
+                e.policies.clear();
+                e.cluster.servers = 0;
+            }),
+            ConfigError::ZeroServers.to_string()
+        );
     }
 }

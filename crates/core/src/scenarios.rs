@@ -709,4 +709,27 @@ mod tests {
             das_workload::trace::validate_trace(&trace).unwrap();
         }
     }
+
+    #[test]
+    fn every_scenario_validates_as_a_whole() {
+        // `ExperimentConfig::validate` guards `run`, so a constructor that
+        // built an invalid config would break its figure.
+        let mut all = vec![
+            base_experiment("base", 0.7),
+            load_spike_experiment(0.4, 0.9),
+            server_degradation_experiment(0.7, 5, 4.0),
+            key_skew_experiment(0.7, 1.1),
+            bursty_experiment(0.4, 0.9, [0.5, 0.25]),
+            estimate_noise_experiment(0.7, 0.5),
+            fault_injection_experiment(0.7, 0.1),
+            hedging_experiment(0.7, 0.95),
+            overload_experiment(1.3, false),
+            overload_experiment(1.3, true),
+            cluster_size_experiment(0.7, 1024, 0.12),
+        ];
+        all.extend(scenario_corpus().into_iter().map(|s| s.experiment));
+        for e in &all {
+            assert_eq!(e.validate(), Ok(()), "{}", e.name);
+        }
+    }
 }

@@ -1,7 +1,9 @@
 //! CLI smoke tests for the chaos-search surface of `das_experiment`:
 //! `chaos` byte-determinism, replayable artifact output, the
 //! `replay --faults/--overload` overrides, and `chaos-verify` verdicts —
-//! plus `run`'s typed rejection of an out-of-range policy knob.
+//! plus the typed rejection of an invalid config (policy, workload,
+//! network, partitioner, time-series bin) by every config-reading
+//! subcommand.
 
 // Integration tests unwrap freely: a panic is the failure report.
 #![allow(clippy::unwrap_used)]
@@ -198,13 +200,42 @@ fn chaos_verify_flags_verdict_drift() {
     assert!(stderr(&out).contains("no *.case.json"), "{}", stderr(&out));
 }
 
+/// Writes `base_experiment` with `edit` applied and asserts that every
+/// subcommand that reads a config exits 1 with `message` on an `error:`
+/// line — no panic backtrace, nothing run.
+fn assert_config_rejected(
+    name: &str,
+    edit: impl FnOnce(&mut das_core::ExperimentConfig),
+    message: &str,
+) {
+    let dir = scratch(name);
+    let mut config = das_core::scenarios::base_experiment(name.to_string(), 0.5);
+    config.horizon_secs = 0.05;
+    config.warmup_secs = 0.0;
+    edit(&mut config);
+    let path = dir.join("config.json");
+    std::fs::write(&path, serde_json::to_string(&config).unwrap()).unwrap();
+    let (path, out_path) = (path.to_str().unwrap(), dir.join("out.jsonl"));
+    for args in [
+        vec!["check", path],
+        vec!["run", path],
+        vec!["trace", path, out_path.to_str().unwrap()],
+        vec!["replay", path, out_path.to_str().unwrap()],
+    ] {
+        let out = das_experiment(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains(&format!("error: {message}")),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn run_rejects_a_bad_policy_with_a_typed_error_not_a_panic() {
     use das_sched::policy::PolicyKind;
-    let dir = scratch("bad-policy");
-    let mut config = das_core::scenarios::base_experiment("bad policy".to_string(), 0.5);
-    config.horizon_secs = 0.05;
-    config.warmup_secs = 0.0;
     for (policy, message) in [
         (
             PolicyKind::Das {
@@ -213,19 +244,57 @@ fn run_rejects_a_bad_policy_with_a_typed_error_not_a_panic() {
                     ..Default::default()
                 },
             },
-            "error: policy: das aging must be finite and >= 0, got -1",
+            "policy: das aging must be finite and >= 0, got -1",
         ),
         (
             PolicyKind::ReinMl { levels: 1 },
-            "error: policy: rein_ml levels must be in 2..=64, got 1",
+            "policy: rein_ml levels must be in 2..=64, got 1",
         ),
     ] {
-        config.policies = vec![policy];
-        let path = dir.join("config.json");
-        std::fs::write(&path, serde_json::to_string(&config).unwrap()).unwrap();
-        let out = das_experiment(&["run", path.to_str().unwrap()]);
-        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-        assert!(stderr(&out).contains(message), "{}", stderr(&out));
-        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+        assert_config_rejected("bad-policy", |c| c.policies = vec![policy], message);
     }
+}
+
+#[test]
+fn invalid_workload_is_a_typed_error_in_every_subcommand() {
+    assert_config_rejected(
+        "bad-workload",
+        |c| c.workload.n_keys = 0,
+        "workload: n_keys must be >= 1",
+    );
+}
+
+#[test]
+fn invalid_network_is_a_typed_error_in_every_subcommand() {
+    assert_config_rejected(
+        "bad-network",
+        |c| {
+            c.cluster.network.latency = das_net::latency::LatencyConfig::Lognormal {
+                mean_micros: 50.0,
+                sigma: -1.0,
+            }
+        },
+        "network: latency sigma must be finite and >= 0",
+    );
+}
+
+#[test]
+fn invalid_partitioner_is_a_typed_error_in_every_subcommand() {
+    assert_config_rejected(
+        "bad-partitioner",
+        |c| {
+            c.cluster.partitioner =
+                das_store::partition::PartitionerConfig::ConsistentHash { vnodes: 0 }
+        },
+        "partitioner: consistent_hash needs at least one vnode per server",
+    );
+}
+
+#[test]
+fn invalid_timeseries_bin_is_a_typed_error_in_every_subcommand() {
+    assert_config_rejected(
+        "bad-bin",
+        |c| c.rct_timeseries_bin_secs = Some(0.0),
+        "rct_timeseries_bin_secs must be finite and positive, got 0",
+    );
 }

@@ -102,6 +102,41 @@ impl NetworkConfig {
         }
     }
 
+    /// Human-readable description of the first knob that
+    /// [`NetworkConfig::build`] would assert on (or that yields a negative
+    /// mean delay), if any.
+    pub fn first_invalid(&self) -> Option<&'static str> {
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let latency = match self.latency {
+            LatencyConfig::Constant { micros } if !non_negative(micros) => {
+                Some("latency micros must be finite and >= 0")
+            }
+            LatencyConfig::Uniform {
+                min_micros,
+                max_micros,
+            } if !(non_negative(min_micros)
+                && max_micros.is_finite()
+                && min_micros <= max_micros) =>
+            {
+                Some("latency needs 0 <= min_micros <= max_micros, both finite")
+            }
+            LatencyConfig::Lognormal { mean_micros, .. } if !positive(mean_micros) => {
+                Some("latency mean_micros must be finite and positive")
+            }
+            LatencyConfig::Lognormal { sigma, .. } if !non_negative(sigma) => {
+                Some("latency sigma must be finite and >= 0")
+            }
+            _ => None,
+        };
+        latency.or(match self.bandwidth_bytes_per_sec {
+            Some(bw) if !positive(bw) => {
+                Some("bandwidth_bytes_per_sec must be finite and positive")
+            }
+            _ => None,
+        })
+    }
+
     /// Builds the sampling model.
     pub fn build(&self) -> NetworkModel {
         NetworkModel {
@@ -209,5 +244,43 @@ mod tests {
         };
         assert!((uni.mean_secs() - 10e-6).abs() < 1e-12);
         assert!((LatencyConfig::datacenter_default().mean_secs() - 50e-6).abs() < 1e-12);
+    }
+
+    /// One row per knob `first_invalid` rejects: each reached a
+    /// distribution constructor's `assert!` (or silently produced a
+    /// negative mean delay) from an outside config.
+    #[test]
+    fn first_invalid_names_each_bad_knob() {
+        assert_eq!(NetworkConfig::default().first_invalid(), None);
+        assert_eq!(NetworkConfig::ideal().first_invalid(), None);
+        let lognormal = |mean_micros, sigma| LatencyConfig::Lognormal { mean_micros, sigma };
+        let uniform = |min_micros, max_micros| LatencyConfig::Uniform {
+            min_micros,
+            max_micros,
+        };
+        for latency in [
+            LatencyConfig::Constant { micros: -1.0 },
+            LatencyConfig::Constant { micros: f64::NAN },
+            uniform(-1.0, 5.0),
+            uniform(5.0, 2.0),
+            uniform(1.0, f64::INFINITY),
+            lognormal(-50.0, 0.4),
+            lognormal(0.0, 0.4),
+            lognormal(50.0, -1.0),
+            lognormal(50.0, f64::NAN),
+        ] {
+            let cfg = NetworkConfig {
+                latency,
+                bandwidth_bytes_per_sec: None,
+            };
+            assert!(cfg.first_invalid().is_some(), "{latency:?}");
+        }
+        for bw in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = NetworkConfig {
+                bandwidth_bytes_per_sec: Some(bw),
+                ..NetworkConfig::default()
+            };
+            assert!(cfg.first_invalid().is_some(), "bandwidth {bw}");
+        }
     }
 }

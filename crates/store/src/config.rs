@@ -56,6 +56,16 @@ pub enum ConfigError {
         /// The server it targeted.
         server: u32,
     },
+    /// A network latency or bandwidth knob was out of range.
+    NetworkInvalid {
+        /// What was wrong.
+        reason: &'static str,
+    },
+    /// A partitioner knob was out of range.
+    PartitionerInvalid {
+        /// What was wrong.
+        reason: &'static str,
+    },
     /// `horizon_secs` was not finite and positive.
     NonPositiveHorizon {
         /// The offending value.
@@ -67,6 +77,11 @@ pub enum ConfigError {
         warmup_secs: f64,
         /// The configured horizon.
         horizon_secs: f64,
+    },
+    /// `rct_timeseries_bin_secs` was set but not finite and positive.
+    NonPositiveTimeseriesBin {
+        /// The offending value.
+        value: f64,
     },
     /// A crash window was malformed (unknown server, negative start, or
     /// recovery at or before the crash instant).
@@ -207,6 +222,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::PerfEventEndsBeforeStart { server } => {
                 write!(f, "perf event for server {server} ends before it starts")
             }
+            ConfigError::NetworkInvalid { reason } => write!(f, "network: {reason}"),
+            ConfigError::PartitionerInvalid { reason } => write!(f, "partitioner: {reason}"),
             ConfigError::NonPositiveHorizon { value } => {
                 write!(f, "horizon must be positive, got {value}")
             }
@@ -216,6 +233,10 @@ impl std::fmt::Display for ConfigError {
             } => write!(
                 f,
                 "warmup must be in [0, horizon): {warmup_secs} vs horizon {horizon_secs}"
+            ),
+            ConfigError::NonPositiveTimeseriesBin { value } => write!(
+                f,
+                "rct_timeseries_bin_secs must be finite and positive, got {value}"
             ),
             ConfigError::CrashWindowInvalid { server } => {
                 write!(f, "malformed crash window for server {server}")
@@ -864,6 +885,12 @@ impl ClusterConfig {
                 value: self.estimate_noise,
             });
         }
+        if let Some(reason) = self.network.first_invalid() {
+            return Err(ConfigError::NetworkInvalid { reason });
+        }
+        if let Some(reason) = self.partitioner.first_invalid() {
+            return Err(ConfigError::PartitionerInvalid { reason });
+        }
         for e in &self.perf_events {
             if e.server >= self.servers {
                 return Err(ConfigError::PerfEventUnknownServer { server: e.server });
@@ -944,6 +971,11 @@ impl SimulationConfig {
                 warmup_secs: self.warmup_secs,
                 horizon_secs: self.horizon_secs,
             });
+        }
+        if let Some(value) = self.rct_timeseries_bin_secs {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(ConfigError::NonPositiveTimeseriesBin { value });
+            }
         }
         if self.trace.enabled {
             if !(self.trace.sample.is_finite()
@@ -1080,6 +1112,68 @@ mod tests {
             s.validate(),
             Err(ConfigError::WarmupOutsideHorizon { .. })
         ));
+    }
+
+    #[test]
+    fn network_partitioner_and_bin_knobs_are_typed_config_errors() {
+        // Each of these used to pass validation and then panic on a
+        // constructor assert inside `Engine::new`.
+        use crate::partition::PartitionerConfig;
+        use das_net::latency::LatencyConfig;
+        let base = SimulationConfig::new(PolicyKind::Fcfs, 10.0);
+        let rejected = |edit: &dyn Fn(&mut SimulationConfig)| {
+            let mut s = base.clone();
+            edit(&mut s);
+            s.validate().unwrap_err().to_string()
+        };
+        for (edit, message) in [
+            (
+                &(|s: &mut SimulationConfig| {
+                    s.cluster.partitioner = PartitionerConfig::ConsistentHash { vnodes: 0 }
+                }) as &dyn Fn(&mut SimulationConfig),
+                "partitioner: consistent_hash needs at least one vnode per server",
+            ),
+            (
+                &|s| s.cluster.partitioner = PartitionerConfig::Range { n_keys: 0 },
+                "partitioner: range needs n_keys >= 1",
+            ),
+            (
+                &|s| {
+                    s.cluster.network.latency = LatencyConfig::Lognormal {
+                        mean_micros: 50.0,
+                        sigma: -1.0,
+                    }
+                },
+                "network: latency sigma must be finite and >= 0",
+            ),
+            (
+                &|s| {
+                    s.cluster.network.latency = LatencyConfig::Lognormal {
+                        mean_micros: -50.0,
+                        sigma: 0.4,
+                    }
+                },
+                "network: latency mean_micros must be finite and positive",
+            ),
+            (
+                &|s| s.cluster.network.bandwidth_bytes_per_sec = Some(0.0),
+                "network: bandwidth_bytes_per_sec must be finite and positive",
+            ),
+            (
+                &|s| s.rct_timeseries_bin_secs = Some(0.0),
+                "rct_timeseries_bin_secs must be finite and positive, got 0",
+            ),
+            (
+                &|s| s.rct_timeseries_bin_secs = Some(-1.0),
+                "rct_timeseries_bin_secs must be finite and positive, got -1",
+            ),
+            (
+                &|s| s.rct_timeseries_bin_secs = Some(f64::NAN),
+                "rct_timeseries_bin_secs must be finite and positive, got NaN",
+            ),
+        ] {
+            assert_eq!(rejected(edit), message);
+        }
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //!   server slowdowns for the adaptivity experiments);
 //! * [`engine`] — [`engine::run_simulation`], producing a
 //!   [`engine::RunResult`] with RCT distributions, slowdown classes,
-//!   traffic accounting, and utilization.
+//!   traffic accounting, and utilization. `engine/mod.rs` is the clean
+//!   dispatch → queue → serve → reply core; `engine/recovery.rs`
+//!   (crashes, link faults, retries, hedges) and `engine/overload.rs`
+//!   (admission, bounded queues, retry budget, batching) are stages that
+//!   exist only when [`config::FaultProfile::is_active`] /
+//!   [`config::OverloadProfile::is_active`] say so, and a run with both
+//!   off executes nothing outside `mod.rs`.
 //!
 //! ```
 //! use das_store::config::SimulationConfig;

@@ -34,6 +34,18 @@ impl Default for PartitionerConfig {
 }
 
 impl PartitionerConfig {
+    /// Human-readable description of the knob
+    /// [`PartitionerConfig::build`] would assert on, if any.
+    pub fn first_invalid(&self) -> Option<&'static str> {
+        match *self {
+            PartitionerConfig::ConsistentHash { vnodes: 0 } => {
+                Some("consistent_hash needs at least one vnode per server")
+            }
+            PartitionerConfig::Range { n_keys: 0 } => Some("range needs n_keys >= 1"),
+            _ => None,
+        }
+    }
+
     /// Builds the partitioner for a cluster of `servers` servers.
     ///
     /// # Panics
@@ -274,5 +286,22 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         let _ = PartitionerConfig::HashMod.build(0);
+    }
+
+    #[test]
+    fn first_invalid_names_the_knobs_build_asserts_on() {
+        for ok in [
+            PartitionerConfig::HashMod,
+            PartitionerConfig::default(),
+            PartitionerConfig::Range { n_keys: 1 },
+        ] {
+            assert_eq!(ok.first_invalid(), None, "{ok:?}");
+        }
+        for bad in [
+            PartitionerConfig::ConsistentHash { vnodes: 0 },
+            PartitionerConfig::Range { n_keys: 0 },
+        ] {
+            assert!(bad.first_invalid().is_some(), "{bad:?}");
+        }
     }
 }

@@ -39,4 +39,4 @@ pub mod trace;
 pub use generator::{RequestSpec, WorkloadGenerator, WorkloadSpec};
 pub use keyspace::KeySpace;
 pub use presets::WorkloadPreset;
-pub use spec::{ArrivalConfig, FanoutConfig, PopularityConfig, SizeConfig};
+pub use spec::{ArrivalConfig, FanoutConfig, PopularityConfig, SizeConfig, WorkloadError};

@@ -119,6 +119,7 @@ mod tests {
     fn every_preset_generates() {
         for preset in WorkloadPreset::ALL {
             let spec = preset.spec(10_000, 500.0);
+            assert_eq!(spec.validate(), Ok(()), "{}", preset.label());
             let mut gen = WorkloadGenerator::new(&spec, &SeedFactory::new(1));
             for _ in 0..50 {
                 let r = gen.next_request().unwrap();

@@ -16,7 +16,112 @@ use das_sim::process::{
     ArrivalProcess, DeterministicProcess, Mmpp2, ModulatedPoissonProcess, PoissonProcess,
     RateSchedule,
 };
-use das_sim::time::SimTime;
+use das_sim::time::{SimDuration, SimTime};
+
+/// Why a workload spec cannot be built. Returned by
+/// [`WorkloadSpec::validate`](crate::generator::WorkloadSpec::validate) so
+/// a spec read from outside is rejected at the boundary instead of
+/// tripping a constructor assert mid-run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadError {
+    /// `n_keys` is zero.
+    EmptyKeySpace,
+    /// A rate, sojourn time or period that must be a finite positive
+    /// number is not.
+    NonPositiveRate {
+        /// Which knob (e.g. `"arrival.rate"`).
+        knob: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// The arrival process is malformed in a way no single number names.
+    ArrivalInvalid {
+        /// What was wrong.
+        reason: &'static str,
+    },
+    /// The fan-out's smallest and largest values violate
+    /// `1 <= min <= max <= n_keys` (a bimodal fan-out also needs
+    /// `small < large`). Requests read distinct keys, so a fan-out above
+    /// the key count can never be drawn.
+    FanoutOutOfBounds {
+        /// Smallest fan-out the config can produce.
+        min: usize,
+        /// Largest fan-out the config can produce.
+        max: usize,
+        /// Keys in the store.
+        n_keys: usize,
+    },
+    /// A probability is outside `[0, 1]` (the geometric fan-out's `p`:
+    /// outside the open interval).
+    ProbabilityOutOfRange {
+        /// Which knob (e.g. `"write_fraction"`).
+        knob: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A Zipf skew exponent is negative or not finite.
+    NegativeSkew {
+        /// Which knob (`"fanout.theta"` or `"popularity.theta"`).
+        knob: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A value-size distribution parameter is out of range.
+    SizeInvalid {
+        /// What was wrong.
+        reason: &'static str,
+    },
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkloadError::EmptyKeySpace => write!(f, "n_keys must be >= 1"),
+            WorkloadError::NonPositiveRate { knob, value } => {
+                write!(f, "{knob} must be finite and positive, got {value}")
+            }
+            WorkloadError::ArrivalInvalid { reason } => write!(f, "arrival: {reason}"),
+            WorkloadError::FanoutOutOfBounds { min, max, n_keys } => write!(
+                f,
+                "fanout must satisfy 1 <= min <= max <= n_keys, got min {min}, max {max}, \
+                 n_keys {n_keys}"
+            ),
+            WorkloadError::ProbabilityOutOfRange { knob, value } => {
+                write!(f, "{knob} must be a probability, got {value}")
+            }
+            WorkloadError::NegativeSkew { knob, value } => {
+                write!(f, "{knob} must be finite and >= 0, got {value}")
+            }
+            WorkloadError::SizeInvalid { reason } => write!(f, "sizes: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
+fn positive(knob: &'static str, value: f64) -> Result<(), WorkloadError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(WorkloadError::NonPositiveRate { knob, value })
+    }
+}
+
+fn probability(knob: &'static str, value: f64) -> Result<(), WorkloadError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(WorkloadError::ProbabilityOutOfRange { knob, value })
+    }
+}
+
+fn skew(knob: &'static str, value: f64) -> Result<(), WorkloadError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(WorkloadError::NegativeSkew { knob, value })
+    }
+}
 
 /// Request arrival process configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,6 +155,56 @@ pub enum ArrivalConfig {
 }
 
 impl ArrivalConfig {
+    /// Checks everything [`ArrivalConfig::build`] asserts.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        let invalid = |reason| Err(WorkloadError::ArrivalInvalid { reason });
+        match self {
+            ArrivalConfig::Poisson { rate } => positive("arrival.rate", *rate),
+            ArrivalConfig::Deterministic { rate } => {
+                positive("arrival.rate", *rate)?;
+                if SimDuration::from_secs_f64(1.0 / rate).is_zero() {
+                    return invalid("deterministic rate leaves a gap below one nanosecond");
+                }
+                Ok(())
+            }
+            ArrivalConfig::Mmpp {
+                rates,
+                sojourn_secs,
+            } => {
+                rates
+                    .iter()
+                    .try_for_each(|&r| positive("arrival.rates", r))?;
+                sojourn_secs
+                    .iter()
+                    .try_for_each(|&s| positive("arrival.sojourn_secs", s))
+            }
+            ArrivalConfig::Schedule { steps, period_secs } => {
+                if steps.is_empty() {
+                    return invalid("schedule needs at least one step");
+                }
+                if !steps.iter().all(|&(s, _)| s.is_finite() && s >= 0.0) {
+                    return invalid("schedule step starts must be finite and >= 0");
+                }
+                if !steps.windows(2).all(|w| w[0].0 <= w[1].0) {
+                    return invalid("schedule steps must be sorted by start");
+                }
+                steps
+                    .iter()
+                    .try_for_each(|&(_, r)| positive("arrival.steps rate", r))?;
+                if let Some(p) = *period_secs {
+                    positive("arrival.period_secs", p)?;
+                    let period = SimDuration::from_secs_f64(p).as_nanos();
+                    let inside =
+                        |&(s, _): &(f64, f64)| SimTime::from_secs_f64(s).as_nanos() < period;
+                    if !steps.iter().all(inside) {
+                        return invalid("schedule steps must start inside one period");
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
     /// Builds the stateful arrival process.
     pub fn build(&self) -> Box<dyn ArrivalProcess + Send> {
         match self {
@@ -69,7 +224,7 @@ impl ArrivalConfig {
                         .collect(),
                 );
                 if let Some(p) = period_secs {
-                    sched = sched.repeating(das_sim::time::SimDuration::from_secs_f64(*p));
+                    sched = sched.repeating(SimDuration::from_secs_f64(*p));
                 }
                 Box::new(ModulatedPoissonProcess::new(sched))
             }
@@ -160,6 +315,42 @@ pub enum FanoutConfig {
 }
 
 impl FanoutConfig {
+    /// Checks everything [`FanoutConfig::build`] asserts, and that the
+    /// largest fan-out fits a store of `n_keys` keys.
+    pub fn validate(&self, n_keys: usize) -> Result<(), WorkloadError> {
+        // (smallest, largest, whether they must differ)
+        let (min, max, distinct) = match *self {
+            FanoutConfig::Constant { keys } => (keys, keys, false),
+            FanoutConfig::Uniform { min, max } => (min, max, false),
+            FanoutConfig::Zipf { max, theta } => {
+                skew("fanout.theta", theta)?;
+                (1, max, false)
+            }
+            FanoutConfig::Bimodal {
+                small,
+                p_small,
+                large,
+            } => {
+                probability("fanout.p_small", p_small)?;
+                (small, large, true)
+            }
+            FanoutConfig::Geometric { p, max } => {
+                if !(p > 0.0 && p < 1.0) {
+                    return Err(WorkloadError::ProbabilityOutOfRange {
+                        knob: "fanout.p",
+                        value: p,
+                    });
+                }
+                (1, max, false)
+            }
+        };
+        if 1 <= min && min <= max && max <= n_keys && !(distinct && min == max) {
+            Ok(())
+        } else {
+            Err(WorkloadError::FanoutOutOfBounds { min, max, n_keys })
+        }
+    }
+
     /// Builds the sampler. Fan-outs are always ≥ 1.
     pub fn build(&self) -> Box<dyn SampleDiscrete + Send + Sync> {
         match *self {
@@ -269,6 +460,42 @@ impl SizeConfig {
         }
     }
 
+    /// Checks everything [`SizeConfig::build`] asserts.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        let invalid = |reason| Err(WorkloadError::SizeInvalid { reason });
+        match *self {
+            SizeConfig::Fixed { .. } => Ok(()),
+            SizeConfig::Uniform {
+                min_bytes,
+                max_bytes,
+            } if min_bytes > max_bytes => invalid("uniform needs min_bytes <= max_bytes"),
+            SizeConfig::Uniform { .. } => Ok(()),
+            SizeConfig::Etc {
+                min_bytes,
+                max_bytes,
+                alpha,
+            } => {
+                if min_bytes == 0 || max_bytes <= min_bytes {
+                    invalid("etc needs 0 < min_bytes < max_bytes")
+                } else if !(alpha.is_finite() && alpha > 0.0) {
+                    invalid("etc alpha must be finite and positive")
+                } else {
+                    Ok(())
+                }
+            }
+            SizeConfig::Bimodal { p_small, .. } => probability("sizes.p_small", p_small),
+            SizeConfig::Lognormal { mean_bytes, sigma } => {
+                if !(mean_bytes.is_finite() && mean_bytes > 0.0) {
+                    invalid("lognormal mean_bytes must be finite and positive")
+                } else if !(sigma.is_finite() && sigma >= 0.0) {
+                    invalid("lognormal sigma must be finite and >= 0")
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
     /// Builds the sampler (returns sizes in bytes as `f64`; callers round).
     pub fn build(&self) -> Box<dyn Sample + Send + Sync> {
         match *self {
@@ -323,6 +550,14 @@ pub enum PopularityConfig {
 }
 
 impl PopularityConfig {
+    /// Checks everything [`PopularityConfig::build`] asserts.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        match *self {
+            PopularityConfig::Uniform => Ok(()),
+            PopularityConfig::Zipf { theta } => skew("popularity.theta", theta),
+        }
+    }
+
     /// Builds a key-rank sampler over `n_keys` keys.
     pub fn build(&self, n_keys: usize) -> Box<dyn SampleDiscrete + Send + Sync> {
         match *self {

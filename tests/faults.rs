@@ -6,6 +6,8 @@
 // Integration tests unwrap freely: a panic is the failure report.
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use das_repro::core::prelude::*;
@@ -15,6 +17,7 @@ use das_repro::sim::fault::CrashWindow;
 use das_repro::sim::time::SimTime;
 use das_repro::store::engine::{run_simulation, KeyRead, StoreRequest};
 use das_repro::store::SimulationConfig;
+use das_repro::trace::{TraceConfig, TraceEvent};
 
 fn fault_requests(n: u64, gap_us: u64) -> Vec<StoreRequest> {
     (0..n)
@@ -40,10 +43,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Exactly-once resolution: with arbitrary crash windows, message loss,
-    /// duplication, extra delays, retries, and hedging all active at once,
-    /// `accepted == completed + aborted`, every measured completion lands in
-    /// exactly one RCT bucket (clean xor fault-exposed), and the whole run
-    /// is bit-deterministic.
+    /// duplication (of requests *and* responses), extra delays, retries, and
+    /// hedging all active at once, `accepted == completed + aborted`, every
+    /// measured completion lands in exactly one RCT bucket (clean xor
+    /// fault-exposed), every attempt is closed at most once, and the whole
+    /// run is bit-deterministic.
     #[test]
     fn no_request_is_lost_or_double_completed(
         seed in any::<u64>(),
@@ -53,6 +57,7 @@ proptest! {
         req_loss in 0.0f64..0.3,
         resp_loss in 0.0f64..0.3,
         dup in 0.0f64..0.5,
+        req_dup in 0.0f64..0.5,
         delay_prob in 0.0f64..0.3,
         deadline_us in 2_000u64..20_000,
         max_attempts in 2u32..=6,
@@ -93,6 +98,9 @@ proptest! {
                 }
             }
             cfg.faults.request_faults.loss = req_loss;
+            // Duplicated deliveries let one crash drop two copies of the
+            // same attempt.
+            cfg.faults.request_faults.duplication = req_dup;
             cfg.faults.request_faults.extra_delay_prob = delay_prob;
             cfg.faults.request_faults.extra_delay_micros = 150.0;
             cfg.faults.response_faults.loss = resp_loss;
@@ -105,6 +113,7 @@ proptest! {
                 cfg.faults.hedge.min_samples = 10;
             }
             prop_assert_eq!(cfg.faults.validate(servers), Ok(()));
+            cfg.trace = TraceConfig::enabled();
 
             let requests = fault_requests(150, 40);
             let a = run_simulation(&cfg, requests.clone()).unwrap();
@@ -122,6 +131,29 @@ proptest! {
             );
             prop_assert!(r.availability() <= 1.0);
             prop_assert!(r.wasted_fraction() >= 0.0 && r.wasted_fraction() <= 1.0);
+
+            // An attempt is closed at most once — by a crash, its deadline,
+            // or an accepted response — so per op the closures never
+            // outnumber the dispatches.
+            let log = a.trace.as_ref().unwrap();
+            prop_assert_eq!(log.dropped, 0);
+            let mut per_op: BTreeMap<(u64, u32), (u32, u32)> = BTreeMap::new();
+            for ev in &log.events {
+                match *ev {
+                    TraceEvent::OpDispatch { request, op, .. } => {
+                        per_op.entry((request, op)).or_default().0 += 1;
+                    }
+                    TraceEvent::CrashDrop { request, op, .. }
+                    | TraceEvent::OpTimeout { request, op, .. }
+                    | TraceEvent::OpResponse { request, op, accepted: true, .. } => {
+                        per_op.entry((request, op)).or_default().1 += 1;
+                    }
+                    _ => {}
+                }
+            }
+            for (id, (dispatched, closed)) in per_op {
+                prop_assert!(closed <= dispatched, "op {id:?}: {closed} closures of {dispatched} attempts");
+            }
 
             let b = run_simulation(&cfg, requests).unwrap();
             prop_assert_eq!(a.mean_rct().to_bits(), b.mean_rct().to_bits());
