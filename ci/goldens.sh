@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every quick-mode output that has a committed golden under
-# results/ci/ and byte-diffs it, exiting non-zero on the first difference.
+# results/ci/ (one `das_bench <id>...` call for the figures and tables,
+# then the das_experiment CLI paths) and byte-diffs it, exiting non-zero
+# on the first difference.
 # CI runs exactly this script; run it locally the same way:
 #
 #     cargo build --release --offline --workspace
@@ -26,16 +28,9 @@ export DAS_QUICK=1 DAS_RESULTS_DIR="$out"
 # crash + retry (fig22), hedging (fig23), overload control (fig24), the
 # trace pipeline (table7-9), the scenario corpus (table10, whose traces
 # are committed and byte-pinned) and the chaos search (table11).
-figures="fig06_load_sweep:fig06 fig22_fault_injection:fig22
-  fig23_hedging_sweep:fig23 fig24_overload_collapse:fig24
-  table7_rct_breakdown:table7_rct_breakdown
-  table8_blame_diff:table8_blame_diff
-  table9_policy_ladder:table9_policy_ladder
-  table10_scenario_corpus:table10_scenario_corpus
-  table11_chaos_search:table11_chaos_search"
-for pair in $figures; do
-  "$bin/${pair%%:*}" > /dev/null
-done
+figures="fig06 fig22 fig23 fig24 table7_rct_breakdown table8_blame_diff
+  table9_policy_ladder table10_scenario_corpus table11_chaos_search"
+$bin/das_bench $figures > /dev/null
 for f in table7_das.chrome.json table10_flash_crowd_fcfs.jsonl table10_flash_crowd_das.jsonl; do
   test -s "$out/$f"
 done
@@ -74,8 +69,7 @@ $bin/das_experiment chaos --seed 3 --budget 2 --shrink-budget 10 \
   --out "$out/chaos" > /dev/null
 $bin/das_experiment chaos-verify crates/chaos/corpus > /dev/null
 
-for pair in $figures; do
-  id="${pair##*:}"
+for id in $figures; do
   diff "$golden/$id.quick.json" "$out/$id.json"
   diff "$golden/$id.quick.md" "$out/$id.md"
 done

@@ -1,6 +1,6 @@
-//! One function per figure/table of the evaluation. Each returns a
-//! [`FigureOutput`] that the per-figure binaries (and `all_experiments`)
-//! print and persist.
+//! One function per figure/table of the evaluation, reached through the
+//! [`FIGURES`] registry. Each returns a [`FigureOutput`] that `das_bench`
+//! prints and persists.
 //!
 //! Every function honours quick mode (`DAS_QUICK=1`): shorter horizons and
 //! sparser sweeps so the whole suite smoke-tests in seconds.
@@ -12,11 +12,195 @@ use das_metrics::summary::ComparisonTable;
 use das_sched::policy::PolicyKind;
 use das_workload::spec::{FanoutConfig, PopularityConfig, SizeConfig};
 
-use crate::output::{quick_mode, FigureOutput};
+use crate::output::{persist_with, FigureOutput};
+
+/// What a registry entry runs with: the mode, and the load sweep that
+/// fig06, fig07, fig08 and table2 share.
+#[derive(Debug)]
+pub struct Ctx {
+    /// Quick mode (`DAS_QUICK=1`).
+    pub quick: bool,
+    sweep: Option<Vec<(f64, ExperimentResult)>>,
+}
+
+impl Ctx {
+    /// A context with the sweep not yet run.
+    pub fn new(quick: bool) -> Self {
+        Ctx { quick, sweep: None }
+    }
+
+    /// The base scenario across the load sweep, run on first use and at
+    /// most once per process.
+    fn sweep(&mut self) -> &[(f64, ExperimentResult)] {
+        let quick = self.quick;
+        self.sweep.get_or_insert_with(|| run_load_sweep(quick))
+    }
+}
+
+/// One figure or table of the evaluation.
+#[derive(Debug)]
+pub struct Figure {
+    /// The id `das_bench` takes; equals the [`FigureOutput::id`] that `run`
+    /// returns, so it also names `results/<id>.{md,json}`.
+    pub id: &'static str,
+    /// One line on what the figure shows.
+    pub about: &'static str,
+    /// Regenerates the figure.
+    pub run: fn(&mut Ctx) -> FigureOutput,
+}
+
+/// Every figure and table, in the order `das_bench all` runs them.
+pub const FIGURES: [Figure; 29] = [
+    Figure {
+        id: "fig06",
+        about: "Fig. 6: mean RCT vs offered load",
+        run: |c| fig06(c.sweep()),
+    },
+    Figure {
+        id: "fig07",
+        about: "Fig. 7: p99 RCT vs offered load",
+        run: |c| fig07(c.sweep()),
+    },
+    Figure {
+        id: "fig08",
+        about: "Fig. 8: RCT distribution (quantile table) at the reference load",
+        run: |c| fig08(c.sweep()),
+    },
+    Figure {
+        id: "fig09",
+        about: "Fig. 9: sensitivity to the fan-out distribution",
+        run: |c| fig09(c.quick),
+    },
+    Figure {
+        id: "fig10",
+        about: "Fig. 10: sensitivity to the value-size distribution",
+        run: |c| fig10(c.quick),
+    },
+    Figure {
+        id: "fig11",
+        about: "Fig. 11: adaptivity to a load spike",
+        run: |c| fig11(c.quick),
+    },
+    Figure {
+        id: "fig12",
+        about: "Fig. 12: adaptivity to time-varying server performance",
+        run: |c| fig12(c.quick),
+    },
+    Figure {
+        id: "fig13",
+        about: "Fig. 13: scalability with cluster size",
+        run: |c| fig13(c.quick),
+    },
+    Figure {
+        id: "fig14",
+        about: "Fig. 14: skewed key popularity",
+        run: |c| fig14(c.quick),
+    },
+    Figure {
+        id: "fig15",
+        about: "Fig. 15: DAS component ablation",
+        run: |c| fig15(c.quick),
+    },
+    Figure {
+        id: "fig16",
+        about: "Fig. 16 (extension): bursty MMPP arrivals vs Poisson",
+        run: |c| fig16(c.quick),
+    },
+    Figure {
+        id: "fig17",
+        about: "Fig. 17 (extension): robustness to size-estimate noise",
+        run: |c| fig17(c.quick),
+    },
+    Figure {
+        id: "fig18",
+        about: "Fig. 18 (extension): DAS design-parameter sensitivity",
+        run: |c| fig18(c.quick),
+    },
+    Figure {
+        id: "fig19",
+        about: "Fig. 19 (extension): coordinator fragmentation",
+        run: |c| fig19(c.quick),
+    },
+    Figure {
+        id: "fig20",
+        about: "Fig. 20 (extension): hint-loss robustness",
+        run: |c| fig20(c.quick),
+    },
+    Figure {
+        id: "fig21",
+        about: "Fig. 21 (extension): read/write mix",
+        run: |c| fig21(c.quick),
+    },
+    Figure {
+        id: "fig22",
+        about: "Fig. 22: fault injection — crash-stop failures with coordinator retry",
+        run: |c| fig22(c.quick),
+    },
+    Figure {
+        id: "fig23",
+        about: "Fig. 23: hedged reads under gray failure, swept over the hedge quantile",
+        run: |c| fig23(c.quick),
+    },
+    Figure {
+        id: "fig24",
+        about: "Fig. 24: overload collapse vs graceful degradation past saturation",
+        run: |c| fig24(c.quick),
+    },
+    Figure {
+        id: "table2",
+        about: "Table 2: headline mean-RCT reductions vs FCFS (the 15-50% claim)",
+        run: |c| table2(c.sweep()),
+    },
+    Figure {
+        id: "table3",
+        about: "Table 3: scheduling overhead per request",
+        run: |c| table3(c.quick),
+    },
+    Figure {
+        id: "table4",
+        about: "Table 4: slowdown by fan-out class (fairness / starvation)",
+        run: |c| table4(c.quick),
+    },
+    Figure {
+        id: "table5",
+        about: "Table 5 (extension): named workload presets at rho=0.7",
+        run: |c| table5(c.quick),
+    },
+    Figure {
+        id: "table6",
+        about: "Table 6 (extension): SLO attainment per policy",
+        run: |c| table6(c.quick),
+    },
+    Figure {
+        id: "table7_rct_breakdown",
+        about: "Table 7 (extension): RCT critical-path blame per policy, from the structured event trace",
+        run: |c| table7(c.quick),
+    },
+    Figure {
+        id: "table8_blame_diff",
+        about: "Table 8 (extension): paired blame diff FCFS → DAS at rho=0.7, the RCT delta per critical-path segment",
+        run: |c| table8(c.quick),
+    },
+    Figure {
+        id: "table9_policy_ladder",
+        about: "Table 9 (extension): N-way policy-ladder blame diff FCFS → Rein-SBF → DAS → DAS-tuned at rho=0.7, plus per-server occupancy telemetry",
+        run: |c| table9(c.quick),
+    },
+    Figure {
+        id: "table10_scenario_corpus",
+        about: "Table 10 (extension): the scenario regression corpus — committed workload traces replayed FCFS vs DAS, blame-diffed per scenario",
+        run: |_| table10(),
+    },
+    Figure {
+        id: "table11_chaos_search",
+        about: "Table 11 (extension): chaos search — adversarial fault schedules, oracle suite, and the committed minimized-reproducer corpus",
+        run: |c| table11(c.quick),
+    },
+];
 
 /// The policy set shown in every figure: the standard five plus the
 /// centralized oracle reference.
-pub fn figure_policies() -> Vec<PolicyKind> {
+fn figure_policies() -> Vec<PolicyKind> {
     let mut p = PolicyKind::standard_set();
     p.push(PolicyKind::oracle());
     p
@@ -62,7 +246,7 @@ fn tune(mut e: ExperimentConfig, quick: bool) -> ExperimentConfig {
 }
 
 /// The load points of the Fig. 6/7 sweep.
-pub fn load_points(quick: bool) -> Vec<f64> {
+fn load_points(quick: bool) -> Vec<f64> {
     if quick {
         vec![0.3, 0.7]
     } else {
@@ -72,7 +256,7 @@ pub fn load_points(quick: bool) -> Vec<f64> {
 
 /// Runs the base scenario across the load sweep (shared by Figs. 6–8 and
 /// Table 2).
-pub fn run_load_sweep(quick: bool) -> Vec<(f64, ExperimentResult)> {
+fn run_load_sweep(quick: bool) -> Vec<(f64, ExperimentResult)> {
     load_points(quick)
         .into_iter()
         .map(|rho| {
@@ -101,7 +285,7 @@ fn per_load_table(
 }
 
 /// Fig. 6: mean RCT vs offered load.
-pub fn fig06(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
+fn fig06(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
     let mut f = FigureOutput::new("fig06", "Mean RCT vs offered load");
     f.tables.push(per_load_table("Mean RCT (ms)", sweep, |r| {
         r.mean_rct() * 1e3
@@ -125,7 +309,7 @@ pub fn fig06(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
 }
 
 /// Fig. 7: tail (p99) RCT vs offered load.
-pub fn fig07(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
+fn fig07(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
     let mut f = FigureOutput::new("fig07", "p99 RCT vs offered load");
     f.tables
         .push(per_load_table("p99 RCT (ms)", sweep, |r| r.p99_rct() * 1e3));
@@ -137,7 +321,7 @@ pub fn fig07(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
 }
 
 /// Fig. 8: RCT CDF at the reference load.
-pub fn fig08(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
+fn fig08(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
     // Use the highest load <= 0.7 present in the sweep.
     let (rho, result) = sweep
         .iter()
@@ -168,7 +352,7 @@ pub fn fig08(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
 }
 
 /// Fig. 9: sensitivity to the fan-out distribution.
-pub fn fig09(quick: bool) -> FigureOutput {
+fn fig09(quick: bool) -> FigureOutput {
     let rho = 0.7;
     let cases: Vec<(&str, FanoutConfig)> = vec![
         ("constant 8", FanoutConfig::Constant { keys: 8 }),
@@ -216,7 +400,7 @@ pub fn fig09(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 10: sensitivity to the value-size distribution.
-pub fn fig10(quick: bool) -> FigureOutput {
+fn fig10(quick: bool) -> FigureOutput {
     let rho = 0.7;
     let cases: Vec<(&str, SizeConfig)> = vec![
         ("fixed 16KB", SizeConfig::Fixed { bytes: 16 << 10 }),
@@ -263,7 +447,7 @@ pub fn fig10(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 11: adaptivity to a load spike (RCT over time).
-pub fn fig11(quick: bool) -> FigureOutput {
+fn fig11(quick: bool) -> FigureOutput {
     let e = tune(scenarios::load_spike_experiment(0.3, 0.85), quick);
     let result = e.run().expect("valid spike experiment");
     let mut f = FigureOutput::new("fig11", "Time-varying load: 0.3 -> 0.85 -> 0.3");
@@ -279,7 +463,7 @@ pub fn fig11(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 12: adaptivity to time-varying server performance.
-pub fn fig12(quick: bool) -> FigureOutput {
+fn fig12(quick: bool) -> FigureOutput {
     let e = tune(scenarios::server_degradation_experiment(0.6, 5, 4.0), quick);
     let result = e.run().expect("valid degradation experiment");
     let mut f = FigureOutput::new(
@@ -298,7 +482,7 @@ pub fn fig12(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 13: scalability with cluster size at fixed per-server load.
-pub fn fig13(quick: bool) -> FigureOutput {
+fn fig13(quick: bool) -> FigureOutput {
     let sizes: Vec<u32> = if quick {
         vec![10, 50]
     } else {
@@ -334,7 +518,7 @@ pub fn fig13(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 14: skewed key popularity with replicated reads.
-pub fn fig14(quick: bool) -> FigureOutput {
+fn fig14(quick: bool) -> FigureOutput {
     let thetas = if quick {
         vec![0.0, 0.6]
     } else {
@@ -360,7 +544,7 @@ pub fn fig14(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 15: DAS component ablation.
-pub fn fig15(quick: bool) -> FigureOutput {
+fn fig15(quick: bool) -> FigureOutput {
     let loads = if quick {
         vec![0.7]
     } else {
@@ -391,7 +575,7 @@ pub fn fig15(quick: bool) -> FigureOutput {
 
 /// Fig. 16 (extension): bursty MMPP arrivals vs Poisson at matched
 /// average load.
-pub fn fig16(quick: bool) -> FigureOutput {
+fn fig16(quick: bool) -> FigureOutput {
     let cases: Vec<(String, ExperimentConfig)> = vec![
         (
             "poisson 0.7".into(),
@@ -417,7 +601,7 @@ pub fn fig16(quick: bool) -> FigureOutput {
 }
 
 /// Fig. 17 (extension): robustness to service-time estimation error.
-pub fn fig17(quick: bool) -> FigureOutput {
+fn fig17(quick: bool) -> FigureOutput {
     let noises = if quick {
         vec![0.0, 0.5]
     } else {
@@ -448,7 +632,7 @@ pub fn fig17(quick: bool) -> FigureOutput {
 
 /// Fig. 18 (extension): DAS design-parameter sensitivity — the aging
 /// factor and the FCFS fallback threshold called out in DESIGN.md.
-pub fn fig18(quick: bool) -> FigureOutput {
+fn fig18(quick: bool) -> FigureOutput {
     use das_sched::das::DasConfig;
     let rho = 0.8;
     let guards = if quick {
@@ -565,7 +749,7 @@ pub fn fig18(quick: bool) -> FigureOutput {
 
 /// Fig. 19 (extension): information fragmentation — many independent
 /// coordinators, each with its own piggyback-fed estimates.
-pub fn fig19(quick: bool) -> FigureOutput {
+fn fig19(quick: bool) -> FigureOutput {
     let counts = if quick {
         vec![1, 16]
     } else {
@@ -607,7 +791,7 @@ pub fn fig19(quick: bool) -> FigureOutput {
 
 /// Fig. 20 (extension): hint-loss robustness — progress hints are
 /// fire-and-forget and may vanish.
-pub fn fig20(quick: bool) -> FigureOutput {
+fn fig20(quick: bool) -> FigureOutput {
     let losses = if quick {
         vec![0.0, 1.0]
     } else {
@@ -640,7 +824,7 @@ pub fn fig20(quick: bool) -> FigureOutput {
 
 /// Fig. 21 (extension): read/write mix — multi-get scheduling with an
 /// increasing fraction of puts.
-pub fn fig21(quick: bool) -> FigureOutput {
+fn fig21(quick: bool) -> FigureOutput {
     let fractions = if quick {
         vec![0.0, 0.5]
     } else {
@@ -681,7 +865,7 @@ fn fault_policies() -> Vec<PolicyKind> {
 
 /// Fig. 22 (extension): fault injection — crash-stop failures with
 /// coordinator-side retry, swept over the fraction of servers that fail.
-pub fn fig22(quick: bool) -> FigureOutput {
+fn fig22(quick: bool) -> FigureOutput {
     let fractions = if quick {
         vec![0.0, 0.1]
     } else {
@@ -736,7 +920,7 @@ pub fn fig22(quick: bool) -> FigureOutput {
 
 /// Fig. 23 (extension): hedged reads under gray failure, swept over the
 /// hedge-delay quantile (`off` = no hedging).
-pub fn fig23(quick: bool) -> FigureOutput {
+fn fig23(quick: bool) -> FigureOutput {
     let quantiles = if quick {
         vec![0.0, 0.95]
     } else {
@@ -816,7 +1000,7 @@ fn goodput_pct(r: &das_store::engine::RunResult) -> f64 {
 /// retries armed, comparing the uncontrolled store against the full
 /// overload-control layer (deadline admission + bounded queues + retry
 /// token budget + tiny-op batching).
-pub fn fig24(quick: bool) -> FigureOutput {
+fn fig24(quick: bool) -> FigureOutput {
     let loads = if quick {
         vec![0.7, 1.3]
     } else {
@@ -907,7 +1091,7 @@ pub fn fig24(quick: bool) -> FigureOutput {
 }
 
 /// Table 2: headline mean-RCT reductions (the abstract's 15-50% claim).
-pub fn table2(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
+fn table2(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
     let mut f = FigureOutput::new("table2", "Headline reductions vs FCFS");
     let mut t = ComparisonTable::new(
         "Mean RCT and reductions",
@@ -941,7 +1125,7 @@ pub fn table2(sweep: &[(f64, ExperimentResult)]) -> FigureOutput {
 }
 
 /// Table 3: scheduling overhead.
-pub fn table3(quick: bool) -> FigureOutput {
+fn table3(quick: bool) -> FigureOutput {
     let e = tune(scenarios::base_experiment("rho=0.7", 0.7), quick);
     let result = e.run().expect("valid base experiment");
     let mut f = FigureOutput::new("table3", "Scheduling overhead (rho=0.7)");
@@ -954,7 +1138,7 @@ pub fn table3(quick: bool) -> FigureOutput {
 }
 
 /// Table 4: fairness / starvation by fan-out class.
-pub fn table4(quick: bool) -> FigureOutput {
+fn table4(quick: bool) -> FigureOutput {
     let mut e = tune(scenarios::base_experiment("rho=0.8", 0.8), quick);
     // Include the no-aging ablation: the starvation risk it exposes is the
     // point of this table.
@@ -972,7 +1156,7 @@ pub fn table4(quick: bool) -> FigureOutput {
 
 /// Table 5 (extension): the named workload presets from published
 /// key-value-store studies, all at rho=0.7.
-pub fn table5(quick: bool) -> FigureOutput {
+fn table5(quick: bool) -> FigureOutput {
     use das_core::load::arrival_rate_for_load;
     use das_workload::presets::WorkloadPreset;
     let rho = 0.7;
@@ -1018,7 +1202,7 @@ pub fn table5(quick: bool) -> FigureOutput {
 
 /// Table 6 (extension): SLO attainment — the fraction of requests
 /// completing within each latency budget, at rho=0.8.
-pub fn table6(quick: bool) -> FigureOutput {
+fn table6(quick: bool) -> FigureOutput {
     let e = tune(scenarios::base_experiment("rho=0.8", 0.8), quick);
     let result = e.run().expect("valid base experiment");
     let slos_ms = [1.0, 2.0, 5.0, 10.0];
@@ -1050,7 +1234,7 @@ pub fn table6(quick: bool) -> FigureOutput {
 /// traced request spent its RCT in, reconstructed from the structured
 /// event trace. Also writes the DAS run's Chrome `trace_event` file
 /// (loadable in Perfetto) next to the table.
-pub fn table7(quick: bool) -> FigureOutput {
+fn table7(quick: bool) -> FigureOutput {
     let mut e = tune(scenarios::base_experiment("rho=0.7", 0.7), quick);
     e.trace = das_trace::TraceConfig::enabled();
     if !quick {
@@ -1074,8 +1258,6 @@ pub fn table7(quick: bool) -> FigureOutput {
     }
     f.notes = notes;
     if let Some(das) = result.run("DAS").and_then(|r| r.trace.as_ref()) {
-        let dir = crate::output::results_dir();
-        let path = dir.join("table7_das.chrome.json");
         // Per-server counter tracks (busy %, demand, depth, rates) folded
         // from the same log ride along in the Perfetto view.
         let telemetry = das_trace::telemetry::fold(
@@ -1085,17 +1267,9 @@ pub fn table7(quick: bool) -> FigureOutput {
                 ..das_trace::TelemetryConfig::default()
             },
         );
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            let file = std::fs::File::create(&path)?;
-            let mut w = std::io::BufWriter::new(file);
-            das_trace::export::write_chrome_with_telemetry(das, &telemetry, &mut w)?;
-            std::io::Write::flush(&mut w)
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("note: could not persist chrome trace: {e}"),
-        }
+        persist_with("table7_das.chrome.json", |w| {
+            das_trace::export::write_chrome_with_telemetry(das, &telemetry, w)
+        });
     }
     f
 }
@@ -1106,7 +1280,7 @@ pub fn table7(quick: bool) -> FigureOutput {
 /// per-request deltas telescope exactly to each RCT delta). Also persists
 /// both JSONL event logs next to the table so
 /// `das_experiment blame-diff` can be run on them directly.
-pub fn table8(quick: bool) -> FigureOutput {
+fn table8(quick: bool) -> FigureOutput {
     let mut e = tune(scenarios::base_experiment("rho=0.7", 0.7), quick);
     // tune() resets the policy set; the diff wants exactly the baseline and
     // the paper's policy.
@@ -1155,20 +1329,8 @@ pub fn table8(quick: bool) -> FigureOutput {
     // Persist the raw event logs so the CLI path (`das_experiment
     // blame-diff results/table8_fcfs.jsonl results/table8_das.jsonl`) can
     // be exercised on exactly this data — CI smokes that end to end.
-    let dir = crate::output::results_dir();
     for (name, log) in [("table8_fcfs.jsonl", fcfs), ("table8_das.jsonl", das)] {
-        let path = dir.join(name);
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            let file = std::fs::File::create(&path)?;
-            let mut w = std::io::BufWriter::new(file);
-            das_trace::export::write_jsonl(log, &mut w)?;
-            std::io::Write::flush(&mut w)
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("note: could not persist event log: {e}"),
-        }
+        persist_with(name, |w| das_trace::export::write_jsonl(log, w));
     }
     f
 }
@@ -1182,7 +1344,7 @@ pub fn table8(quick: bool) -> FigureOutput {
 /// FCFS → DAS-tuned delta. Also folds the DAS rung's event stream into
 /// per-server occupancy telemetry and persists all four JSONL event logs
 /// so `das_experiment blame-diff --ladder` can be run on them directly.
-pub fn table9(quick: bool) -> FigureOutput {
+fn table9(quick: bool) -> FigureOutput {
     let mut e = tune(scenarios::base_experiment("rho=0.7", 0.7), quick);
     // tune() resets the policy set; the ladder wants exactly these rungs,
     // in this order. The tuned rung triples the aging strength — the knob
@@ -1265,7 +1427,6 @@ pub fn table9(quick: bool) -> FigureOutput {
     // Persist the raw event logs so the CLI path (`das_experiment
     // blame-diff --ladder FCFS,Rein-SBF,DAS,DAS-tuned <logs...>`) can be
     // exercised on exactly this data — CI smokes that end to end.
-    let dir = crate::output::results_dir();
     let stems = [
         "table9_fcfs.jsonl",
         "table9_rein_sbf.jsonl",
@@ -1273,18 +1434,7 @@ pub fn table9(quick: bool) -> FigureOutput {
         "table9_das_tuned.jsonl",
     ];
     for (name, log) in stems.iter().zip(&logs) {
-        let path = dir.join(name);
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            let file = std::fs::File::create(&path)?;
-            let mut w = std::io::BufWriter::new(file);
-            das_trace::export::write_jsonl(log, &mut w)?;
-            std::io::Write::flush(&mut w)
-        };
-        match write() {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("note: could not persist event log: {e}"),
-        }
+        persist_with(name, |w| das_trace::export::write_jsonl(log, w));
     }
     f
 }
@@ -1298,9 +1448,8 @@ pub fn table9(quick: bool) -> FigureOutput {
 /// under `crates/workload/corpus/` are the regression corpus, pinned
 /// byte-for-byte by the test suite, so this table is reproducible down to
 /// the bit across machines and sessions.
-pub fn table10(_quick: bool) -> FigureOutput {
+fn table10() -> FigureOutput {
     let corpus = scenarios::scenario_corpus();
-    let dir = crate::output::results_dir();
     let mut rows: Vec<(String, das_trace::TraceDiff)> = Vec::new();
     let mut results: Vec<(String, ExperimentResult)> = Vec::new();
     for s in &corpus {
@@ -1324,18 +1473,9 @@ pub fn table10(_quick: bool) -> FigureOutput {
         // `top`) can be exercised on exactly this data — CI smokes that.
         for (run, policy) in result.runs.iter().zip(["fcfs", "das"]) {
             let log = run.trace.as_ref().expect("traced");
-            let path = dir.join(format!("table10_{}_{policy}.jsonl", s.slug));
-            let write = || -> std::io::Result<()> {
-                std::fs::create_dir_all(&dir)?;
-                let file = std::fs::File::create(&path)?;
-                let mut w = std::io::BufWriter::new(file);
-                das_trace::export::write_jsonl(log, &mut w)?;
-                std::io::Write::flush(&mut w)
-            };
-            match write() {
-                Ok(()) => eprintln!("wrote {}", path.display()),
-                Err(e) => eprintln!("note: could not persist event log: {e}"),
-            }
+            persist_with(&format!("table10_{}_{policy}.jsonl", s.slug), |w| {
+                das_trace::export::write_jsonl(log, w)
+            });
         }
         rows.push((s.title.to_string(), diff));
         results.push((s.slug.to_string(), result));
@@ -1369,7 +1509,7 @@ pub fn table10(_quick: bool) -> FigureOutput {
 /// (`crates/chaos/corpus/`) and panics unless every recorded verdict
 /// still fires. Quick mode shrinks the search budget; the corpus replay
 /// is identical in both modes (minimized cases are sub-second runs).
-pub fn table11(quick: bool) -> FigureOutput {
+fn table11(quick: bool) -> FigureOutput {
     let cfg = das_chaos::ChaosConfig {
         seed: 3,
         budget: if quick { 4 } else { 40 },
@@ -1548,39 +1688,13 @@ fn scenario_comparison(
     f
 }
 
-/// Convenience: the full experiment suite in order (shared sweep reused).
-pub fn all_figures() -> Vec<FigureOutput> {
-    let quick = quick_mode();
-    let sweep = run_load_sweep(quick);
-    vec![
-        fig06(&sweep),
-        fig07(&sweep),
-        fig08(&sweep),
-        fig09(quick),
-        fig10(quick),
-        fig11(quick),
-        fig12(quick),
-        fig13(quick),
-        fig14(quick),
-        fig15(quick),
-        fig16(quick),
-        fig17(quick),
-        fig18(quick),
-        fig19(quick),
-        fig20(quick),
-        fig21(quick),
-        fig22(quick),
-        fig23(quick),
-        fig24(quick),
-        table2(&sweep),
-        table3(quick),
-        table4(quick),
-        table5(quick),
-        table6(quick),
-        table7(quick),
-        table8(quick),
-        table9(quick),
-        table10(quick),
-        table11(quick),
-    ]
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_ids_are_unique() {
+        let ids: std::collections::BTreeSet<&str> = FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(ids.len(), 29);
+    }
 }

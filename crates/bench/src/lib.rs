@@ -1,9 +1,11 @@
 //! # das-bench — the benchmark harness
 //!
 //! Regenerates every figure and table of the evaluation (see DESIGN.md's
-//! experiment index). Each binary in `src/bin/` produces one figure;
-//! `all_experiments` runs the whole suite and persists Markdown + JSON
-//! under `results/`.
+//! experiment index) through one binary over the [`figures::FIGURES`]
+//! registry: `das_bench list` prints the ids, `das_bench <id>...` runs the
+//! named figures, and `das_bench all` runs the whole suite; each figure is
+//! printed as Markdown and persisted as Markdown + JSON under `results/`
+//! (`all` adds `ALL.md`).
 //!
 //! Environment:
 //! * `DAS_QUICK=1` — sparse sweeps and short horizons (smoke testing);

@@ -1,8 +1,9 @@
-//! Uniform output handling for experiment binaries: every figure/table
-//! renders to Markdown on stdout and optionally persists JSON + Markdown
-//! under `results/` for EXPERIMENTS.md.
+//! Uniform output handling for `das_bench`: every figure/table renders to
+//! Markdown on stdout and optionally persists JSON + Markdown under
+//! `results/` for EXPERIMENTS.md.
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use das_metrics::summary::ComparisonTable;
@@ -61,6 +62,24 @@ impl FigureOutput {
         let json = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
         fs::write(dir.join(format!("{}.json", self.id)), json)?;
         Ok(())
+    }
+}
+
+/// Writes the side file `<results dir>/<file_name>` (an event log, a Chrome
+/// trace, `ALL.md`) through `write`, buffered and flushed. Best-effort like
+/// [`FigureOutput::emit`]: the outcome goes to stderr, the figure goes on.
+pub fn persist_with(file_name: &str, write: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let dir = results_dir();
+    let path = dir.join(file_name);
+    let persist = || -> io::Result<()> {
+        fs::create_dir_all(&dir)?;
+        let mut w = io::BufWriter::new(fs::File::create(&path)?);
+        write(&mut w)?;
+        w.flush()
+    };
+    match persist() {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("note: could not persist {file_name}: {e}"),
     }
 }
 

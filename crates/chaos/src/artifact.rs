@@ -55,11 +55,12 @@ impl Reproducer {
         serde_json::from_str(&raw).map_err(|e| format!("parse {}: {e}", path.display()))
     }
 
-    /// Writes the reproducer as pretty JSON (byte-stable for a given
-    /// value, so regenerating an unchanged corpus is a no-op diff).
+    /// Writes the reproducer as one line of compact JSON (byte-stable for
+    /// a given value, so regenerating an unchanged corpus is a no-op diff;
+    /// the two large cases are 2.5× smaller than pretty-printed).
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| format!("serialize {}: {e}", self.slug))?;
+        let json =
+            serde_json::to_string(self).map_err(|e| format!("serialize {}: {e}", self.slug))?;
         std::fs::write(path, json + "\n").map_err(|e| format!("write {}: {e}", path.display()))
     }
 }

@@ -1,73 +1,10 @@
-//! Bridges the workload generator to the store engine: resolves each
-//! generated request's key sizes and yields [`StoreRequest`]s.
+//! Bridges workload traces — recorded or freshly generated — to the store
+//! engine: resolves each request's key sizes into [`StoreRequest`]s.
 
 use das_sim::rng::SeedFactory;
-use das_sim::time::SimTime;
 use das_store::engine::{KeyRead, StoreRequest};
-use das_workload::generator::{RequestSpec, WorkloadGenerator, WorkloadSpec};
-
-/// An iterator of [`StoreRequest`]s generated on demand from a workload
-/// spec, bounded by a horizon.
-pub struct RequestStream {
-    generator: WorkloadGenerator,
-    horizon: SimTime,
-    done: bool,
-}
-
-impl std::fmt::Debug for RequestStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RequestStream")
-            .field("horizon", &self.horizon)
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RequestStream {
-    /// Creates a stream for `spec` ending at `horizon`, seeded from
-    /// `seeds`. Two streams with the same spec and seeds yield identical
-    /// requests — that is what makes cross-policy comparisons paired.
-    pub fn new(spec: &WorkloadSpec, seeds: &SeedFactory, horizon: SimTime) -> Self {
-        RequestStream {
-            generator: WorkloadGenerator::new(spec, seeds),
-            horizon,
-            done: false,
-        }
-    }
-
-    fn resolve(&self, req: RequestSpec) -> StoreRequest {
-        let ks = self.generator.keyspace();
-        StoreRequest {
-            id: req.id,
-            arrival: req.arrival,
-            reads: req
-                .keys
-                .iter()
-                .map(|&key| KeyRead {
-                    key,
-                    bytes: ks.size_of(key),
-                    write: req.write_keys.contains(&key),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl Iterator for RequestStream {
-    type Item = StoreRequest;
-
-    fn next(&mut self) -> Option<StoreRequest> {
-        if self.done {
-            return None;
-        }
-        let req = self.generator.next_request()?;
-        if req.arrival >= self.horizon {
-            self.done = true;
-            return None;
-        }
-        Some(self.resolve(req))
-    }
-}
+use das_workload::generator::{RequestSpec, WorkloadSpec};
+use das_workload::keyspace::KeySpace;
 
 /// Converts a pre-recorded trace into store requests using sizes from a
 /// key space built with the same spec/seed.
@@ -83,13 +20,19 @@ pub fn trace_to_requests(
     spec: &WorkloadSpec,
     seeds: &SeedFactory,
 ) -> Vec<StoreRequest> {
-    let ks = das_workload::keyspace::KeySpace::with_hot_key_cap(
+    let ks = KeySpace::with_hot_key_cap(
         spec.n_keys,
         &spec.sizes,
         &spec.popularity,
         spec.hot_key_size_cap,
         seeds,
     );
+    resolve(trace, &ks)
+}
+
+/// The one `RequestSpec → StoreRequest` mapping: `trace` in replay order,
+/// each key sized by `ks`.
+pub(crate) fn resolve(trace: &[RequestSpec], ks: &KeySpace) -> Vec<StoreRequest> {
     let mut ordered: Vec<&RequestSpec> = trace.iter().collect();
     ordered.sort_by_key(|r| (r.arrival, r.id));
     ordered
@@ -113,29 +56,32 @@ pub fn trace_to_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentConfig;
+    use das_sim::time::SimTime;
+
+    /// The example workload materialised the way every run does it:
+    /// `record_workload`, then `trace_to_requests`.
+    fn materialise(seed: u64, horizon_secs: f64) -> Vec<StoreRequest> {
+        let mut e = ExperimentConfig::new("adapter", WorkloadSpec::example(), Default::default());
+        e.seed = seed;
+        e.horizon_secs = horizon_secs;
+        trace_to_requests(&e.record_workload(), &e.workload, &SeedFactory::new(seed))
+    }
 
     #[test]
-    fn stream_is_bounded_and_deterministic() {
-        let spec = WorkloadSpec::example();
-        let seeds = SeedFactory::new(11);
-        let horizon = SimTime::from_millis(50);
-        let a: Vec<StoreRequest> = RequestStream::new(&spec, &seeds, horizon).collect();
-        let b: Vec<StoreRequest> = RequestStream::new(&spec, &seeds, horizon).collect();
-        assert_eq!(a, b);
+    fn materialised_workload_is_bounded_and_deterministic() {
+        let a = materialise(11, 0.05);
+        assert_eq!(a, materialise(11, 0.05));
         assert!(!a.is_empty());
-        assert!(a.iter().all(|r| r.arrival < horizon));
+        assert!(a.iter().all(|r| r.arrival < SimTime::from_millis(50)));
         assert!(a.iter().all(|r| r.reads.iter().all(|k| k.bytes >= 1)));
     }
 
     #[test]
     fn sizes_match_keyspace() {
-        let spec = WorkloadSpec::example();
-        let seeds = SeedFactory::new(12);
-        let reqs: Vec<StoreRequest> =
-            RequestStream::new(&spec, &seeds, SimTime::from_millis(20)).collect();
         // Same key always has the same size.
         let mut seen: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        for r in &reqs {
+        for r in &materialise(12, 0.02) {
             for k in &r.reads {
                 let prev = seen.insert(k.key, k.bytes);
                 if let Some(p) = prev {
@@ -143,18 +89,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trace_conversion_matches_stream() {
-        let spec = WorkloadSpec::example();
-        let seeds = SeedFactory::new(13);
-        let mut gen = WorkloadGenerator::new(&spec, &seeds);
-        let trace = gen.take_until(SimTime::from_millis(20));
-        let converted = trace_to_requests(&trace, &spec, &seeds);
-        let streamed: Vec<StoreRequest> =
-            RequestStream::new(&spec, &seeds, SimTime::from_millis(20)).collect();
-        assert_eq!(converted, streamed);
     }
 
     #[test]

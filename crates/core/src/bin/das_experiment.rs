@@ -229,22 +229,7 @@ impl EmitFlags {
             config.overload =
                 serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
         }
-        if self.faults.is_some() || self.overload.is_some() {
-            das_store::config::SimulationConfig {
-                cluster: config.cluster.clone(),
-                policy: PolicyKind::Fcfs,
-                seed: config.seed,
-                horizon_secs: config.horizon_secs,
-                warmup_secs: config.warmup_secs,
-                rct_timeseries_bin_secs: None,
-                faults: config.faults.clone(),
-                overload: config.overload,
-                trace: config.trace,
-            }
-            .validate()
-            .map_err(|e| e.to_string())?;
-        }
-        Ok(())
+        config.validate().map_err(|e| e.to_string())
     }
 
     /// Applies the tracing flags to the loaded config.
@@ -280,10 +265,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         config.policies.len(),
         config.horizon_secs
     );
-    let result = config.run()?;
-    if let Some(out) = &flags.record_workload {
-        write_workload(out, &config.record_workload())?;
-    }
+    let result = match &flags.record_workload {
+        // The recorded specs are the ones the run consumes.
+        Some(out) => {
+            let trace = config.record_workload();
+            let result = config.run_trace(&trace)?;
+            write_workload(out, &trace)?;
+            result
+        }
+        None => config.run()?,
+    };
     emit_result(&result, &config, &flags)
 }
 
@@ -377,10 +368,6 @@ fn cmd_policies() -> Result<(), String> {
     println!("policy          | metadata B/op | hints | piggyback");
     println!("----------------|---------------|-------|----------");
     let mut policies = PolicyKind::standard_set();
-    policies.push(PolicyKind::Edf);
-    policies.push(PolicyKind::LrptLast);
-    policies.push(PolicyKind::ReinMl { levels: 4 });
-    policies.push(PolicyKind::Random { seed: 1 });
     policies.push(PolicyKind::oracle());
     policies.extend(PolicyKind::ablation_set());
     let mut seen = std::collections::HashSet::new();

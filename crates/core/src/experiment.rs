@@ -12,11 +12,11 @@ use das_store::config::{
     ClusterConfig, ConfigError, FaultProfile, OverloadProfile, SimulationConfig,
 };
 use das_trace::TraceConfig;
-use das_store::engine::{run_simulation, RunResult};
+use das_store::engine::{run_simulation, RunResult, StoreRequest};
 use das_workload::generator::{RequestSpec, WorkloadGenerator, WorkloadSpec};
 use das_workload::spec::WorkloadError;
 
-use crate::adapter::{trace_to_requests, RequestStream};
+use crate::adapter::{resolve, trace_to_requests};
 
 /// Why an [`ExperimentConfig`] cannot run: the first invalid knob of its
 /// workload, or of the simulation config it builds per policy.
@@ -42,7 +42,7 @@ impl std::error::Error for ExperimentError {}
 
 /// A full experiment: one workload, one cluster, many policies.
 ///
-/// Every policy sees the *identical* request stream (same seed), so
+/// Every policy sees the *identical* requests (one materialised slice), so
 /// differences in the results are attributable to scheduling alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -96,7 +96,7 @@ impl ExperimentConfig {
 
     /// The per-policy simulation config: everything from the experiment
     /// except the request source.
-    fn sim_config(&self, policy: PolicyKind) -> SimulationConfig {
+    pub fn sim_config(&self, policy: PolicyKind) -> SimulationConfig {
         SimulationConfig {
             cluster: self.cluster.clone(),
             policy,
@@ -127,39 +127,46 @@ impl ExperimentConfig {
         })
     }
 
-    /// Runs every policy and collects the results.
+    /// Runs every policy over the workload this config generates: the
+    /// [`RequestSpec`]s are generated once and resolved once, against the
+    /// generator's own key space.
     pub fn run(&self) -> Result<ExperimentResult, String> {
+        // Before generating: an invalid workload must surface as an error,
+        // not reach a generator assert.
         self.validate().map_err(|e| e.to_string())?;
-        let seeds = SeedFactory::new(self.seed);
-        let horizon = SimTime::from_secs_f64(self.horizon_secs);
-        let mut runs = Vec::with_capacity(self.policies.len());
-        for &policy in &self.policies {
-            let stream = RequestStream::new(&self.workload, &seeds, horizon);
-            runs.push(run_simulation(&self.sim_config(policy), stream)?);
-        }
-        Ok(ExperimentResult {
-            name: self.name.clone(),
-            runs,
-        })
+        let requests = {
+            let (generator, specs) = self.generate();
+            resolve(&specs, generator.keyspace())
+        };
+        self.run_requests(&requests)
     }
 
-    /// Runs every policy over a pre-recorded workload trace instead of the
-    /// generative stream: the arrivals, ids, keys, and write marks come
-    /// from `trace` (injected in the pinned `(arrival, id)` order); key
-    /// *sizes* are resolved from a key space rebuilt with this config's
-    /// spec and seed, exactly as the generative path resolves them. A
-    /// trace recorded by [`ExperimentConfig::record_workload`] therefore
-    /// replays bit-identically to [`ExperimentConfig::run`] under the same
-    /// seed — while the policy, cluster, fault, and overload knobs are
-    /// free to differ from the recording run.
+    /// Runs every policy over a pre-recorded workload trace instead of a
+    /// generated one: the arrivals, ids, keys, and write marks come from
+    /// `trace` (injected in the pinned `(arrival, id)` order); key *sizes*
+    /// are resolved from a key space rebuilt with this config's spec and
+    /// seed, which is the key space [`ExperimentConfig::run`] resolves
+    /// against. A trace recorded by [`ExperimentConfig::record_workload`]
+    /// therefore replays bit-identically to [`ExperimentConfig::run`] under
+    /// the same seed — while the policy, cluster, fault, and overload knobs
+    /// are free to differ from the recording run.
     pub fn run_trace(&self, trace: &[RequestSpec]) -> Result<ExperimentResult, String> {
         self.validate().map_err(|e| e.to_string())?;
-        // Resolved once (key space, replay order), cloned per policy.
-        let requests = trace_to_requests(trace, &self.workload, &SeedFactory::new(self.seed));
-        let mut runs = Vec::with_capacity(self.policies.len());
-        for &policy in &self.policies {
-            runs.push(run_simulation(&self.sim_config(policy), requests.clone())?);
-        }
+        self.run_requests(&trace_to_requests(
+            trace,
+            &self.workload,
+            &SeedFactory::new(self.seed),
+        ))
+    }
+
+    /// The one runner: every policy reads the identical resolved requests
+    /// from the same slice, which is what makes the comparison paired.
+    fn run_requests(&self, requests: &[StoreRequest]) -> Result<ExperimentResult, String> {
+        let runs = self
+            .policies
+            .iter()
+            .map(|&policy| run_simulation(&self.sim_config(policy), requests.iter().cloned()))
+            .collect::<Result<_, _>>()?;
         Ok(ExperimentResult {
             name: self.name.clone(),
             runs,
@@ -173,9 +180,15 @@ impl ExperimentConfig {
     /// deterministic, so recording is a pure observation: runs with and
     /// without it are bit-identical.
     pub fn record_workload(&self) -> Vec<RequestSpec> {
-        let seeds = SeedFactory::new(self.seed);
-        let mut generator = WorkloadGenerator::new(&self.workload, &seeds);
-        generator.take_until(SimTime::from_secs_f64(self.horizon_secs))
+        self.generate().1
+    }
+
+    /// Generates this config's workload up to the horizon; the generator
+    /// comes back too because it owns the key space that sizes the keys.
+    fn generate(&self) -> (WorkloadGenerator, Vec<RequestSpec>) {
+        let mut generator = WorkloadGenerator::new(&self.workload, &SeedFactory::new(self.seed));
+        let specs = generator.take_until(SimTime::from_secs_f64(self.horizon_secs));
+        (generator, specs)
     }
 }
 
@@ -424,20 +437,52 @@ mod tests {
         assert!(s.mean_rct >= s.lower_bound_mean_rct * 0.99);
     }
 
+    /// Walks every engine stage: crashes + retries, hedging, the
+    /// controlled overload knobs, and tracing.
+    fn every_stage_experiment() -> ExperimentConfig {
+        let mut e = crate::scenarios::fault_injection_experiment(0.7, 0.1);
+        e.horizon_secs = 0.4;
+        e.warmup_secs = 0.04;
+        for (i, crash) in e.faults.crashes.crashes.iter_mut().enumerate() {
+            crash.down_secs = 0.1 + 0.04 * i as f64;
+            crash.up_secs = crash.down_secs + 0.06;
+        }
+        e.faults.hedge.quantile = 0.95;
+        e.faults.hedge.min_delay_secs = 1e-4;
+        e.overload = crate::scenarios::overload_experiment(0.7, true).overload;
+        e.trace = TraceConfig::enabled();
+        e.policies = vec![PolicyKind::Fcfs, PolicyKind::ReinSbf, PolicyKind::das()];
+        e
+    }
+
+    fn jsonl(run: &RunResult) -> Vec<u8> {
+        let mut buf = Vec::new();
+        das_trace::export::write_jsonl(run.trace.as_ref().unwrap(), &mut buf).unwrap();
+        buf
+    }
+
     #[test]
-    fn recorded_workload_replays_identically() {
-        let mut e = quick_experiment();
-        e.policies = vec![PolicyKind::Fcfs, PolicyKind::das()];
+    fn generated_replayed_and_direct_runs_are_one_run() {
+        let e = every_stage_experiment();
         let trace = e.record_workload();
-        assert!(!trace.is_empty());
         das_workload::trace::validate_trace(&trace).unwrap();
-        let direct = e.run().unwrap();
+        let generated = e.run().unwrap();
         let replayed = e.run_trace(&trace).unwrap();
-        for (d, r) in direct.runs.iter().zip(&replayed.runs) {
-            assert_eq!(d.policy, r.policy);
-            assert_eq!(d.completed, r.completed);
-            assert_eq!(d.mean_rct().to_bits(), r.mean_rct().to_bits(), "{}", d.policy);
-            assert_eq!(d.events_processed, r.events_processed, "{}", d.policy);
+        let requests = trace_to_requests(&trace, &e.workload, &SeedFactory::new(e.seed));
+        for (i, &policy) in e.policies.iter().enumerate() {
+            let direct = run_simulation(&e.sim_config(policy), requests.clone()).unwrap();
+            let summary = PolicySummary::from_run(&direct);
+            // The config really does reach the recovery and overload stages.
+            assert!(summary.retries > 0 && summary.hedges > 0, "{summary:?}");
+            assert!(
+                summary.hedges_denied > 0 && summary.batches > 0,
+                "{summary:?}"
+            );
+            let log = jsonl(&direct);
+            for other in [&generated.runs[i], &replayed.runs[i]] {
+                assert_eq!(PolicySummary::from_run(other), summary);
+                assert!(jsonl(other) == log, "{policy:?}: event logs differ");
+            }
         }
     }
 
@@ -471,8 +516,15 @@ mod tests {
             "rct_timeseries_bin_secs must be finite and positive, got 0"
         );
         assert_eq!(
-            rejected(&|e| e.policies.push(PolicyKind::ReinMl { levels: 1 })),
-            "policy: rein_ml levels must be in 2..=64, got 1"
+            rejected(&|e| {
+                e.policies.push(PolicyKind::Das {
+                    config: das_sched::das::DasConfig {
+                        aging: -1.0,
+                        ..Default::default()
+                    },
+                })
+            }),
+            "policy: das aging must be finite and >= 0, got -1"
         );
         // The shared knobs are checked even with no policy to run.
         assert_eq!(

@@ -21,11 +21,11 @@
 //! This crate wires that scheduler (and all baselines) into the simulated
 //! cluster and exposes experiment orchestration:
 //!
-//! * [`experiment`] — run one workload against many policies on paired
-//!   request streams; compare in uniform tables;
+//! * [`experiment`] — run one workload against many policies, every policy
+//!   fed from the same materialised requests; compare in uniform tables;
 //! * [`scenarios`] — the calibrated base scenario every figure varies;
 //! * [`load`] — translate between arrival rates and per-server load ρ;
-//! * [`adapter`] — feed generated or traced workloads into the engine;
+//! * [`adapter`] — resolve a workload trace into engine requests;
 //! * [`chaos`] — replay bridge for chaos-search reproducer artifacts;
 //! * [`report`] — Markdown rendering for EXPERIMENTS.md.
 //!
@@ -60,12 +60,10 @@ pub mod load;
 pub mod report;
 pub mod scenarios;
 
-pub use adapter::RequestStream;
 pub use experiment::{ExperimentConfig, ExperimentResult, PolicySummary};
 
 /// Frequently used items across this workspace, re-exported.
 pub mod prelude {
-    pub use crate::adapter::RequestStream;
     pub use crate::experiment::{ExperimentConfig, ExperimentResult, PolicySummary};
     pub use crate::load::{arrival_rate_for_load, offered_load};
     pub use crate::scenarios;

@@ -235,24 +235,39 @@ fn assert_config_rejected(
 
 #[test]
 fn run_rejects_a_bad_policy_with_a_typed_error_not_a_panic() {
-    use das_sched::policy::PolicyKind;
-    for (policy, message) in [
-        (
-            PolicyKind::Das {
-                config: das_sched::DasConfig {
-                    aging: -1.0,
-                    ..Default::default()
-                },
-            },
-            "policy: das aging must be finite and >= 0, got -1",
-        ),
-        (
-            PolicyKind::ReinMl { levels: 1 },
-            "policy: rein_ml levels must be in 2..=64, got 1",
-        ),
-    ] {
-        assert_config_rejected("bad-policy", |c| c.policies = vec![policy], message);
-    }
+    let policy = das_sched::policy::PolicyKind::Das {
+        config: das_sched::DasConfig {
+            aging: -1.0,
+            ..Default::default()
+        },
+    };
+    assert_config_rejected(
+        "bad-policy",
+        |c| c.policies = vec![policy],
+        "policy: das aging must be finite and >= 0, got -1",
+    );
+}
+
+#[test]
+fn a_removed_policy_kind_is_a_parse_error_not_a_panic() {
+    // `rein_ml` (like `edf`, `lrpt_last`, `random`) was a policy kind no
+    // experiment ran; a config still naming it fails at the parser.
+    let dir = scratch("removed-policy");
+    let mut config = das_core::scenarios::base_experiment("removed", 0.5);
+    config.policies = vec![das_sched::policy::PolicyKind::Fcfs];
+    let json = serde_json::to_string(&config).unwrap();
+    let fcfs = r#"{"kind":"fcfs"}"#;
+    assert!(json.contains(fcfs));
+    let path = dir.join("config.json");
+    let json = json.replace(fcfs, r#"{"kind":"rein_ml","levels":4}"#);
+    std::fs::write(&path, json).unwrap();
+    let out = das_experiment(&["run", path.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error: parsing "), "{err}");
+    assert!(err.contains("unknown variant"), "{err}");
+    assert!(err.contains("rein_ml"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

@@ -102,11 +102,6 @@ impl BatchMeans {
         let se = (var / b as f64).sqrt();
         Some(t_quantile_975(b - 1) * se)
     }
-
-    /// `(mean, half_width)` when a CI is available.
-    pub fn mean_with_ci(&self) -> Option<(f64, f64)> {
-        self.ci95_half_width().map(|hw| (self.mean(), hw))
-    }
 }
 
 /// Accounting for engine-level batch coalescing: how many server visits
@@ -238,7 +233,7 @@ mod tests {
             x = (x + 0.618_033_988_749_895) % 1.0;
             b.record(x);
         }
-        let (mean, hw) = b.mean_with_ci().unwrap();
+        let (mean, hw) = (b.mean(), b.ci95_half_width().unwrap());
         assert!(
             (mean - 0.5).abs() <= hw.max(0.01),
             "mean {mean} +- {hw} should cover 0.5"

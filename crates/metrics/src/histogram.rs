@@ -110,13 +110,6 @@ impl LogHistogram {
         }
     }
 
-    /// Records `n` occurrences of `v`.
-    pub fn record_n(&mut self, v: f64, n: u64) {
-        for _ in 0..n {
-            self.record(v);
-        }
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -326,14 +319,6 @@ mod tests {
         // Quantile q=0.25 falls in the underflow mass -> smallest observed.
         assert!(h.quantile(0.1).is_some());
         assert!(h.quantile(1.0).unwrap() >= 1.0 * 0.99);
-    }
-
-    #[test]
-    fn record_n_counts() {
-        let mut h = LogHistogram::new();
-        h.record_n(2.0, 10);
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.mean(), 2.0);
     }
 
     #[test]

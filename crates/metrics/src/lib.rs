@@ -4,7 +4,7 @@
 //!
 //! * [`histogram`] — fixed-memory log-bucketed histograms (~1 % relative
 //!   error quantiles) for latency distributions;
-//! * [`quantile`] — exact and P² streaming quantile estimators;
+//! * [`quantile`] — the P² streaming quantile estimator;
 //! * [`timeseries`] — fixed-bin "metric over time" series for the
 //!   time-varying-load figures;
 //! * [`summary`] — [`summary::LatencySummary`] and

@@ -1,73 +1,8 @@
-//! Exact and streaming quantile estimators.
-//!
-//! [`ExactQuantiles`] stores every sample — exact but O(n) memory; used in
-//! tests and for small result sets. [`P2Quantile`] is the constant-memory
-//! Jain–Chlamtac P² estimator; used when only one or two quantiles are
+//! The streaming quantile estimator: [`P2Quantile`] is the constant-memory
+//! Jain–Chlamtac P² estimator, used when only one or two quantiles are
 //! needed from a long stream.
 
 use serde::{Deserialize, Serialize};
-
-/// Stores all samples and answers exact quantile queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ExactQuantiles {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl ExactQuantiles {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one value. Non-finite values are ignored.
-    pub fn record(&mut self, v: f64) {
-        if v.is_finite() {
-            self.values.push(v);
-            self.sorted = false;
-        }
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The exact `q`-quantile using the nearest-rank method, or `None` when
-    /// empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.values.len() as f64).ceil() as usize).max(1);
-        Some(self.values[rank - 1])
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// Read-only view of the raw samples (unsorted unless a quantile was
-    /// queried).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
 
 /// The P² streaming quantile estimator (Jain & Chlamtac, 1985): estimates a
 /// single quantile with five markers and O(1) memory.
@@ -198,37 +133,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_nearest_rank() {
-        let mut e = ExactQuantiles::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            e.record(v);
-        }
-        assert_eq!(e.quantile(0.0), Some(1.0));
-        assert_eq!(e.quantile(0.5), Some(3.0));
-        assert_eq!(e.quantile(1.0), Some(5.0));
-        assert_eq!(e.mean(), 3.0);
-        assert_eq!(e.count(), 5);
-    }
-
-    #[test]
-    fn exact_ignores_non_finite() {
-        let mut e = ExactQuantiles::new();
-        e.record(f64::NAN);
-        e.record(f64::INFINITY);
-        assert!(e.is_empty());
-        assert_eq!(e.quantile(0.5), None);
-    }
-
-    #[test]
-    fn exact_interleaves_record_and_query() {
-        let mut e = ExactQuantiles::new();
-        e.record(10.0);
-        assert_eq!(e.quantile(0.5), Some(10.0));
-        e.record(1.0);
-        assert_eq!(e.quantile(0.0), Some(1.0));
-    }
-
-    #[test]
     fn p2_median_of_uniform() {
         let mut p = P2Quantile::new(0.5);
         // A deterministic low-discrepancy stream over (0, 1).
@@ -245,16 +149,14 @@ mod tests {
     #[test]
     fn p2_p99_of_exponential_like() {
         let mut p = P2Quantile::new(0.99);
-        let mut exact = ExactQuantiles::new();
         let mut x = 0.123f64;
         for _ in 0..100_000 {
             x = (x + 0.618_033_988_749_895) % 1.0;
             let v = -((1.0 - x).max(1e-12)).ln(); // Exp(1) via inverse CDF
             p.record(v);
-            exact.record(v);
         }
         let est = p.estimate().unwrap();
-        let truth = exact.quantile(0.99).unwrap();
+        let truth = 100f64.ln(); // the p99 of Exp(1)
         assert!(
             (est - truth).abs() / truth < 0.05,
             "est = {est}, truth = {truth}"

@@ -83,23 +83,6 @@ impl LatencySummary {
     pub fn fraction_within(&self, slo_secs: f64) -> f64 {
         self.hist.fraction_at_or_below(slo_secs)
     }
-
-    /// `(value, cumulative_fraction)` points of the empirical CDF, for
-    /// CDF figures.
-    pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let total = self.hist.count();
-        if total == 0 {
-            return Vec::new();
-        }
-        let mut acc = 0u64;
-        self.hist
-            .nonzero_buckets()
-            .map(|(v, c)| {
-                acc += c;
-                (v, acc as f64 / total as f64)
-            })
-            .collect()
-    }
 }
 
 /// One labelled row of a comparison table: a policy (or scenario) name and
@@ -162,17 +145,6 @@ impl ComparisonTable {
         row.values.get(col).copied()
     }
 
-    /// Percentage change of `row` vs `baseline_row` in `column`:
-    /// negative = improvement (smaller value).
-    pub fn percent_change(&self, row: &str, baseline_row: &str, column: &str) -> Option<f64> {
-        let v = self.value(row, column)?;
-        let b = self.value(baseline_row, column)?;
-        if b == 0.0 {
-            return None;
-        }
-        Some((v - b) / b * 100.0)
-    }
-
     /// Renders the table as GitHub-flavoured Markdown with values in
     /// engineering-friendly precision.
     pub fn to_markdown(&self) -> String {
@@ -192,25 +164,6 @@ impl ComparisonTable {
             out.push_str(&format!("| {} |", r.label));
             for v in &r.values {
                 out.push_str(&format!(" {} |", format_value(*v)));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as CSV (header row first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("label");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(c);
-        }
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.label);
-            for v in &r.values {
-                out.push_str(&format!(",{v}"));
             }
             out.push('\n');
         }
@@ -329,18 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let mut s = LatencySummary::new();
-        for i in 1..=1000 {
-            s.record(i as f64);
-        }
-        let cdf = s.cdf_points();
-        assert!(!cdf.is_empty());
-        assert!(cdf.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn table_roundtrip() {
         let mut t = ComparisonTable::new("Test", vec!["mean".into(), "p99".into()]);
         t.push_row("FCFS", vec![10.0, 50.0]);
@@ -348,14 +289,9 @@ mod tests {
         assert_eq!(t.value("DAS", "mean"), Some(7.0));
         assert_eq!(t.value("DAS", "nope"), None);
         assert_eq!(t.value("nope", "mean"), None);
-        let pc = t.percent_change("DAS", "FCFS", "mean").unwrap();
-        assert!((pc + 30.0).abs() < 1e-9);
         let md = t.to_markdown();
         assert!(md.contains("| FCFS |"));
         assert!(md.contains("### Test"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("label,mean,p99\n"));
-        assert!(csv.contains("DAS,7,30"));
     }
 
     #[test]
@@ -363,14 +299,6 @@ mod tests {
     fn table_rejects_wrong_width() {
         let mut t = ComparisonTable::new("T", vec!["a".into()]);
         t.push_row("x", vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn percent_change_zero_baseline() {
-        let mut t = ComparisonTable::new("T", vec!["m".into()]);
-        t.push_row("base", vec![0.0]);
-        t.push_row("x", vec![1.0]);
-        assert_eq!(t.percent_change("x", "base", "m"), None);
     }
 
     #[test]

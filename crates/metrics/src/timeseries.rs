@@ -87,15 +87,6 @@ impl TimeSeries {
     pub fn bin_width(&self) -> f64 {
         self.bin_width
     }
-
-    /// `(bin_start, mean)` pairs for plotting, skipping empty bins.
-    pub fn mean_series(&self) -> Vec<(f64, f64)> {
-        self.bins
-            .iter()
-            .filter(|b| b.count > 0)
-            .map(|b| (b.start, b.mean()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +117,7 @@ mod tests {
         assert_eq!(ts.bins().len(), 4);
         assert_eq!(ts.bins()[1].count, 0);
         assert_eq!(ts.bins()[2].count, 0);
-        assert_eq!(ts.mean_series(), vec![(0.0, 1.0), (3.0, 2.0)]);
+        assert_eq!((ts.bins()[0].mean(), ts.bins()[3].mean()), (1.0, 2.0));
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl TrafficClass {
 pub mod wire {
     /// Fixed framing per message (headers, ids).
     pub const MSG_HEADER_BYTES: u64 = 24;
-    /// A DAS priority tag: request id (8) + bottleneck estimate (4) +
-    /// remaining-width (2) + dispatch timestamp (8).
-    pub const DAS_TAG_BYTES: u64 = 22;
-    /// A Rein-SBF tag: request id (8) + bottleneck size (4).
-    pub const REIN_TAG_BYTES: u64 = 12;
     /// A piggybacked server report: queue depth (4) + rate estimate (4).
     pub const PIGGYBACK_BYTES: u64 = 8;
     /// A progress hint: request id (8) + new remaining estimate (4).
@@ -124,11 +119,6 @@ impl TrafficAccounting {
             + self.bytes(TrafficClass::ProgressHint)
     }
 
-    /// Extra messages beyond the unavoidable request/response pairs.
-    pub fn overhead_messages(&self) -> u64 {
-        self.messages(TrafficClass::ProgressHint)
-    }
-
     /// Merges another accounting into this one.
     pub fn merge(&mut self, other: &TrafficAccounting) {
         for i in 0..5 {
@@ -164,7 +154,6 @@ mod tests {
         a.charge_bytes(TrafficClass::SchedulingMetadata, 22);
         a.charge(TrafficClass::ProgressHint, 36);
         assert_eq!(a.overhead_bytes(), 58);
-        assert_eq!(a.overhead_messages(), 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! `cfg(das_model)` the whole server runs inside the `das-check` model
 //! scheduler (see `tests/model/` at the workspace root).
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,7 +63,7 @@ struct SchedState {
     scheduler: Box<dyn Scheduler>,
     /// Payload side-table keyed by op id (the scheduler only orders
     /// [`QueuedOp`]s).
-    payloads: std::collections::HashMap<OpId, (Vec<u64>, u64, Sender<OpReply>)>,
+    payloads: HashMap<OpId, (Vec<u64>, u64, Sender<OpReply>)>,
     /// Ops handed to workers so far (monotonic; drives [`RtServer::wait_dequeued`]).
     dequeued: u64,
     /// Worker threads that have exited, cleanly or by panic (drives
@@ -95,7 +96,7 @@ impl RtServer {
         let inner = Arc::new(Inner {
             scheduler: Mutex::new(SchedState {
                 scheduler: policy.build(),
-                payloads: std::collections::HashMap::new(),
+                payloads: HashMap::new(),
                 dequeued: 0,
                 exited: 0,
             }),
@@ -125,10 +126,16 @@ impl RtServer {
     }
 
     /// Submits an operation; workers will serve it in scheduler order.
+    /// Resubmitting an op whose earlier copy is still queued (a client
+    /// retry after its window expired) is a no-op: the queued copy answers
+    /// on the same reply channel, and one payload entry per queued op is
+    /// what the worker's dequeue relies on.
     pub fn submit(&self, op: RtOp) {
         let mut st = self.inner.scheduler.lock();
-        st.payloads
-            .insert(op.queued.tag.op, (op.keys, op.service_nanos, op.reply));
+        match st.payloads.entry(op.queued.tag.op) {
+            Entry::Occupied(_) => return,
+            Entry::Vacant(slot) => slot.insert((op.keys, op.service_nanos, op.reply)),
+        };
         let now = self.now();
         st.scheduler.enqueue(op.queued, now);
         drop(st);
@@ -431,27 +438,49 @@ mod tests {
     }
 
     #[test]
-    fn worker_panics_surface_on_shutdown() {
+    fn resubmitting_a_queued_op_is_a_no_op() {
         let server = RtServer::start(PolicyKind::Fcfs, 1, Instant::now());
         let (tx, rx) = unbounded();
-        // Pin the single worker so both same-id ops are queued before
-        // either is dequeued: the payload table then holds one entry and
-        // the second dequeue finds none, panicking the worker.
+        // Pin the single worker so the retry arrives while the first copy
+        // of op 7 is still queued; op 8 queues behind both.
         let mut blocker = op(100, vec![1], tx.clone());
-        blocker.service_nanos = 50_000_000;
+        blocker.service_nanos = 20_000_000;
         server.submit(blocker);
-        // Wait until the worker holds the blocker (the full service time
-        // is then ahead of us), then enqueue the colliding pair.
         server.wait_dequeued(1);
         server.submit(op(7, vec![1], tx.clone()));
-        server.submit(op(7, vec![1], tx));
-        let _ = rx.recv_timeout(std::time::Duration::from_secs(5));
-        let _ = rx.recv_timeout(std::time::Duration::from_secs(5));
-        // The second reply only proves the first id-7 op was served; the
-        // panicking dequeue happens on the worker's *next* loop turn. Wait
-        // for the thread to actually die (the exit guard fires on panic
-        // unwind too) before shutting down, or the shutdown flag can win
-        // the race and let the worker exit cleanly.
+        server.submit(op(7, vec![1], tx.clone()));
+        server.submit(op(8, vec![1], tx));
+        // FCFS: the blocker, op 7 once, then op 8 — which a worker that
+        // died on a second copy of op 7 would never reach.
+        for expected in [100, 7, 8] {
+            let reply = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("worker did not reply within 5s");
+            assert_eq!(reply.op.request, RequestId(expected));
+        }
+        assert_eq!(server.ops_served(), 3);
+        // Joins the worker and would re-raise its panic.
+        server.shutdown();
+        assert!(rx.try_recv().is_err(), "op 7 was answered exactly once");
+    }
+
+    #[test]
+    fn worker_panics_surface_on_shutdown() {
+        let server = RtServer::start(PolicyKind::Fcfs, 1, Instant::now());
+        let (tx, _rx) = unbounded();
+        // Break the worker's invariant behind `submit`'s back: an op in the
+        // scheduler with no payload entry panics the dequeue that finds it.
+        let now = server.now();
+        server
+            .inner
+            .scheduler
+            .lock()
+            .scheduler
+            .enqueue(op(7, vec![1], tx).queued, now);
+        server.inner.cv.notify_one();
+        // Wait for the thread to actually die (the exit guard fires on
+        // panic unwind too) before shutting down, or the shutdown flag can
+        // win the race and let the worker exit cleanly.
         server.wait_workers_stopped();
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.shutdown()));

@@ -7,7 +7,7 @@
 //!
 //! * [`types`] — ids, the per-op metadata tag, server reports;
 //! * [`scheduler`] — the [`Scheduler`] trait every policy implements;
-//! * [`baselines`] — FCFS, SJF, EDF, LRPT-last;
+//! * [`baselines`] — FCFS, SJF;
 //! * [`rein`] — Rein-SBF and its two-level practical variant (EuroSys '17,
 //!   the state-of-the-art baseline);
 //! * [`das`] — the **Distributed Adaptive Scheduler** (see its module docs

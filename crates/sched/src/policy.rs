@@ -4,9 +4,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::baselines::{Edf, Fcfs, LrptLast, RandomOrder, Sjf};
+use crate::baselines::{Fcfs, Sjf};
 use crate::das::{Das, DasConfig};
-use crate::rein::{Rein2L, ReinMultiLevel, ReinSbf};
+use crate::rein::{Rein2L, ReinSbf};
 use crate::scheduler::Scheduler;
 
 /// The scheduling disciplines available to experiments.
@@ -17,24 +17,10 @@ pub enum PolicyKind {
     Fcfs,
     /// Shortest job first on the local op's expected service time.
     Sjf,
-    /// Earliest (arrival + bottleneck demand) first.
-    Edf,
-    /// The LRPT-last component in isolation.
-    LrptLast,
     /// Rein's exact Shortest Bottleneck First.
     ReinSbf,
     /// Rein's two-priority-level practical variant.
     Rein2L,
-    /// Generalized multi-level Rein with `levels` adaptive bands.
-    ReinMl {
-        /// Number of priority levels (>= 2).
-        levels: usize,
-    },
-    /// Uniformly random service order (control baseline).
-    Random {
-        /// Seed for the policy's private RNG.
-        seed: u64,
-    },
     /// The Distributed Adaptive Scheduler with explicit configuration.
     Das {
         /// DAS tuning/ablation knobs.
@@ -53,17 +39,7 @@ pub enum PolicyError {
         /// The offending value.
         value: f64,
     },
-    /// `rein_ml` `levels` fell outside `2..=64`.
-    LevelsOutOfRange {
-        /// The offending value.
-        levels: usize,
-    },
 }
-
-/// Upper bound on `rein_ml` levels accepted from a config: the bands are
-/// spaced by factors of 4, so 64 of them already span 4^64 in demand, and
-/// the bound keeps an outside config from sizing an allocation.
-const MAX_REIN_LEVELS: usize = 64;
 
 impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -71,10 +47,6 @@ impl std::fmt::Display for PolicyError {
             PolicyError::DasKnobOutOfRange { knob, value } => {
                 write!(f, "das {knob} must be finite and >= 0, got {value}")
             }
-            PolicyError::LevelsOutOfRange { levels } => write!(
-                f,
-                "rein_ml levels must be in 2..={MAX_REIN_LEVELS}, got {levels}"
-            ),
         }
     }
 }
@@ -96,9 +68,6 @@ impl PolicyKind {
                     }
                 }
                 Ok(())
-            }
-            PolicyKind::ReinMl { levels } if !(2..=MAX_REIN_LEVELS).contains(&levels) => {
-                Err(PolicyError::LevelsOutOfRange { levels })
             }
             _ => Ok(()),
         }
@@ -151,12 +120,8 @@ impl PolicyKind {
         match *self {
             PolicyKind::Fcfs => Box::new(Fcfs::new()),
             PolicyKind::Sjf => Box::new(Sjf::new()),
-            PolicyKind::Edf => Box::new(Edf::new()),
-            PolicyKind::LrptLast => Box::new(LrptLast::new()),
             PolicyKind::ReinSbf => Box::new(ReinSbf::new()),
             PolicyKind::Rein2L => Box::new(Rein2L::new()),
-            PolicyKind::ReinMl { levels } => Box::new(ReinMultiLevel::new(levels)),
-            PolicyKind::Random { seed } => Box::new(RandomOrder::new(seed)),
             PolicyKind::Das { config } => Box::new(Das::new(config)),
         }
     }
@@ -213,10 +178,7 @@ mod tests {
     fn serde_roundtrip() {
         for p in [
             PolicyKind::Fcfs,
-            PolicyKind::Edf,
-            PolicyKind::LrptLast,
-            PolicyKind::ReinMl { levels: 4 },
-            PolicyKind::Random { seed: 3 },
+            PolicyKind::ReinSbf,
             PolicyKind::das(),
             PolicyKind::oracle(),
         ] {
@@ -231,7 +193,7 @@ mod tests {
         for p in PolicyKind::standard_set()
             .into_iter()
             .chain(PolicyKind::ablation_set())
-            .chain([PolicyKind::oracle(), PolicyKind::ReinMl { levels: 2 }])
+            .chain([PolicyKind::oracle()])
         {
             assert_eq!(p.validate(), Ok(()), "{p:?}");
         }
@@ -265,16 +227,6 @@ mod tests {
                     ..
                 })
             ));
-        }
-    }
-
-    #[test]
-    fn validate_rejects_rein_ml_levels_out_of_range() {
-        for levels in [0, 1, MAX_REIN_LEVELS + 1] {
-            assert_eq!(
-                PolicyKind::ReinMl { levels }.validate(),
-                Err(PolicyError::LevelsOutOfRange { levels })
-            );
         }
     }
 

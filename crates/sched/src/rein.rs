@@ -121,68 +121,6 @@ impl Scheduler for Rein2L {
     }
 }
 
-/// Generalized multi-level Rein: `k` FIFO levels with adaptive
-/// log-spaced thresholds over the bottleneck demand. Level 0 is served
-/// first; within a level, FIFO. `Rein2L` is the `k = 2` special case kept
-/// separate because it matches the original paper's description.
-#[derive(Debug)]
-pub struct ReinMultiLevel {
-    levels: Vec<VecDeque<QueuedOp>>,
-    /// EWMA of observed bottleneck demands; level boundaries are
-    /// `mean * 4^(i - k/2)`.
-    mean_demand: Ewma,
-    queued_work: SimDuration,
-}
-
-impl ReinMultiLevel {
-    /// A multi-level queue with `k >= 2` levels.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 2, "need at least two levels");
-        ReinMultiLevel {
-            levels: (0..k).map(|_| VecDeque::new()).collect(),
-            mean_demand: Ewma::new(0.05),
-            queued_work: SimDuration::ZERO,
-        }
-    }
-
-    fn level_of(&self, demand_secs: f64) -> usize {
-        let k = self.levels.len();
-        let mean = self.mean_demand.value_or(demand_secs).max(1e-12);
-        // Log-spaced boundaries around the running mean, base 4.
-        let ratio = (demand_secs / mean).max(1e-12);
-        let idx = (ratio.log2() / 2.0 + k as f64 / 2.0).floor();
-        idx.clamp(0.0, k as f64 - 1.0) as usize
-    }
-}
-
-impl Scheduler for ReinMultiLevel {
-    fn name(&self) -> &'static str {
-        "Rein-ML"
-    }
-    fn enqueue(&mut self, op: QueuedOp, _now: SimTime) {
-        let demand = op.tag.bottleneck_demand.as_secs_f64();
-        let level = self.level_of(demand);
-        self.mean_demand.record(demand);
-        self.queued_work += op.local_estimate;
-        self.levels[level].push_back(op);
-    }
-    fn dequeue(&mut self, _now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
-        let queue_len = self.len();
-        let op = self.levels.iter_mut().find_map(|l| l.pop_front())?;
-        self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        Some((op, DequeueDecision::policy_order(queue_len)))
-    }
-    fn len(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
-    }
-    fn metadata_bytes(&self) -> u64 {
-        das_net_tag_bytes::SMALL_TAG
-    }
-    fn queued_work(&self) -> SimDuration {
-        self.queued_work
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,49 +191,6 @@ mod tests {
             .map(|(o, _)| o.tag.op.request.0)
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn multi_level_orders_by_demand_bands() {
-        let mut s = ReinMultiLevel::new(4);
-        let now = SimTime::ZERO;
-        // Warm the mean around 1ms.
-        for i in 0..100 {
-            s.enqueue(op(1000 + i, 10, 1000), now);
-            s.dequeue(now);
-        }
-        // A giant lands in a lower level than a tiny one.
-        s.enqueue(op(1, 10, 64_000), now); // 64x mean
-        s.enqueue(op(2, 10, 15), now); // tiny
-        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
-        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
-    }
-
-    #[test]
-    fn multi_level_within_level_fcfs() {
-        let mut s = ReinMultiLevel::new(3);
-        let now = SimTime::ZERO;
-        s.enqueue(op(1, 10, 500), now);
-        s.enqueue(op(2, 10, 500), now);
-        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(1));
-        assert_eq!(s.dequeue(now).unwrap().0.tag.op.request, RequestId(2));
-        assert_eq!(s.name(), "Rein-ML");
-    }
-
-    #[test]
-    fn multi_level_conserves_work() {
-        let mut s = ReinMultiLevel::new(8);
-        let now = SimTime::ZERO;
-        for i in 0..30 {
-            s.enqueue(op(i, 100, (i + 1) * 97), now);
-        }
-        assert_eq!(s.len(), 30);
-        let mut n = 0;
-        while s.dequeue(now).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 30);
-        assert_eq!(s.queued_work(), SimDuration::ZERO);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::types::{HintUpdate, QueuedOp, RequestId};
 /// [`DequeueRule::PolicyOrder`]; DAS distinguishes its three rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DequeueRule {
-    /// The policy served the head of its own ordering (FCFS, SJF, EDF, …).
+    /// The policy served the head of its own ordering (FCFS, SJF, Rein-SBF, …).
     PolicyOrder,
     /// DAS: queue at or below the FCFS-fallback threshold, oldest op served.
     FcfsFallback,
@@ -128,7 +128,7 @@ pub trait Scheduler: Send {
 }
 
 /// A FIFO-stable priority queue keyed once at enqueue time: the workhorse
-/// behind SJF, Rein-SBF and EDF.
+/// behind SJF and Rein-SBF.
 ///
 /// Lower keys dequeue first; equal keys dequeue in arrival order.
 #[derive(Debug)]

@@ -30,8 +30,6 @@ fn op(req: u64, local_us: u64, bottleneck_us: u64) -> QueuedOp {
 
 fn all_policies() -> Vec<PolicyKind> {
     let mut p = PolicyKind::standard_set();
-    p.push(PolicyKind::Edf);
-    p.push(PolicyKind::LrptLast);
     p.push(PolicyKind::oracle());
     p.extend(PolicyKind::ablation_set());
     p

@@ -2,7 +2,7 @@
 //!
 //! The allowed dependency set does not include `rand_distr`, so the samplers
 //! needed by the simulator are implemented here: exponential, uniform,
-//! lognormal (Box–Muller), Pareto, bounded Pareto, Weibull, deterministic,
+//! lognormal (Box–Muller), Pareto, bounded Pareto, deterministic,
 //! finite mixtures, and empirical distributions. All samplers implement
 //! [`Sample`] and draw from a caller-provided RNG so streams stay
 //! deterministic.
@@ -214,112 +214,6 @@ impl Sample for BoundedPareto {
     }
 }
 
-/// Weibull with scale `lambda > 0` and shape `k > 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    lambda: f64,
-    k: f64,
-}
-
-impl Weibull {
-    /// Weibull with scale `lambda > 0` and shape `k > 0`.
-    pub fn new(lambda: f64, k: f64) -> Self {
-        assert!(lambda.is_finite() && lambda > 0.0);
-        assert!(k.is_finite() && k > 0.0);
-        Weibull { lambda, k }
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.lambda * (-open_unit(rng).ln()).powf(1.0 / self.k)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.lambda * gamma(1.0 + 1.0 / self.k))
-    }
-}
-
-/// Erlang-k: the sum of `k` independent exponentials — the standard
-/// low-variability service-time model (CV² = 1/k).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Erlang {
-    k: u32,
-    per_stage: Exponential,
-}
-
-impl Erlang {
-    /// Erlang with `k >= 1` stages and total mean `mean > 0`.
-    pub fn with_mean(k: u32, mean: f64) -> Self {
-        assert!(k >= 1, "Erlang needs at least one stage");
-        assert!(mean.is_finite() && mean > 0.0);
-        Erlang {
-            k,
-            per_stage: Exponential::with_mean(mean / k as f64),
-        }
-    }
-
-    /// Number of stages.
-    pub fn stages(&self) -> u32 {
-        self.k
-    }
-}
-
-impl Sample for Erlang {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        (0..self.k).map(|_| self.per_stage.sample(rng)).sum()
-    }
-    fn mean(&self) -> Option<f64> {
-        self.per_stage.mean().map(|m| m * self.k as f64)
-    }
-}
-
-/// Two-branch hyperexponential — the standard *high*-variability service
-/// model: with probability `p` an exponential of mean `mean_a`, else of
-/// mean `mean_b` (CV² > 1 whenever the means differ).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hyperexponential {
-    p: f64,
-    a: Exponential,
-    b: Exponential,
-}
-
-impl Hyperexponential {
-    /// Hyperexponential choosing mean `mean_a` with probability `p`.
-    pub fn new(p: f64, mean_a: f64, mean_b: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        Hyperexponential {
-            p,
-            a: Exponential::with_mean(mean_a),
-            b: Exponential::with_mean(mean_b),
-        }
-    }
-
-    /// A hyperexponential with the given overall `mean` and squared
-    /// coefficient of variation `cv2 >= 1`, using balanced means
-    /// (the standard two-moment fit).
-    pub fn with_mean_cv2(mean: f64, cv2: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0);
-        assert!(cv2 >= 1.0, "hyperexponential requires CV^2 >= 1");
-        // Balanced-means fit: p chosen so both branches contribute half the
-        // mean.
-        let p = 0.5 * (1.0 + ((cv2 - 1.0) / (cv2 + 1.0)).sqrt());
-        Hyperexponential::new(p, mean / (2.0 * p), mean / (2.0 * (1.0 - p)))
-    }
-}
-
-impl Sample for Hyperexponential {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        if open_unit(rng) <= self.p {
-            self.a.sample(rng)
-        } else {
-            self.b.sample(rng)
-        }
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.p / self.a.rate() + (1.0 - self.p) / self.b.rate())
-    }
-}
-
 /// A finite mixture of component distributions with given weights.
 pub struct Mixture {
     components: Vec<(f64, Box<dyn Sample + Send + Sync>)>,
@@ -441,33 +335,6 @@ impl<D: Sample> Sample for Clamped<D> {
     }
 }
 
-/// Lanczos approximation of the gamma function (for Weibull means).
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,68 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mean_matches() {
-        let d = Weibull::new(2.0, 1.5);
-        let analytic = d.mean().unwrap();
-        let empirical = sample_mean(&d, 300_000, "w");
-        assert!((empirical - analytic).abs() / analytic < 0.02);
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(3.0, 1.0);
-        assert!((d.mean().unwrap() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn erlang_mean_and_low_variance() {
-        let d = Erlang::with_mean(4, 2.0);
-        assert_eq!(d.stages(), 4);
-        assert!((d.mean().unwrap() - 2.0).abs() < 1e-12);
-        let mut rng = SeedFactory::new(50).stream("erl", 0);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.03, "mean = {mean}");
-        // CV^2 = 1/k = 0.25 for Erlang-4.
-        let cv2 = var / (mean * mean);
-        assert!((cv2 - 0.25).abs() < 0.02, "cv2 = {cv2}");
-    }
-
-    #[test]
-    fn erlang_one_is_exponential() {
-        let d = Erlang::with_mean(1, 3.0);
-        assert!((d.mean().unwrap() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hyperexponential_mean_and_high_variance() {
-        let d = Hyperexponential::with_mean_cv2(1.0, 9.0);
-        assert!((d.mean().unwrap() - 1.0).abs() < 1e-9);
-        let mut rng = SeedFactory::new(51).stream("hyp", 0);
-        let n = 400_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.02, "mean = {mean}");
-        let cv2 = var / (mean * mean);
-        assert!((cv2 - 9.0).abs() < 0.8, "cv2 = {cv2}");
-    }
-
-    #[test]
-    fn hyperexponential_explicit_branches() {
-        let d = Hyperexponential::new(0.5, 1.0, 3.0);
-        assert!((d.mean().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "CV^2 >= 1")]
-    fn hyperexponential_rejects_low_cv() {
-        let _ = Hyperexponential::with_mean_cv2(1.0, 0.5);
-    }
-
-    #[test]
     fn mixture_bimodal() {
         let d = Mixture::bimodal(1.0, 0.8, 10.0);
         assert!((d.mean().unwrap() - (0.8 + 2.0)).abs() < 1e-12);
@@ -635,14 +440,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(d.sample(&mut rng) <= 5.0);
         }
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-9);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-9);
-        assert!((gamma(3.0) - 2.0).abs() < 1e-9);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
     }
 
     #[test]

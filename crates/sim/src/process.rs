@@ -134,32 +134,6 @@ impl RateSchedule {
     pub fn peak_rate(&self) -> f64 {
         self.steps.iter().map(|(_, r)| *r).fold(f64::MIN, f64::max)
     }
-
-    /// Time-average rate over one period (or over the finite step list,
-    /// weighting the final step as one step-gap — callers needing exact
-    /// horizons should integrate themselves).
-    pub fn average_rate_over(&self, horizon: SimDuration) -> f64 {
-        let end = SimTime::ZERO + horizon;
-        let mut acc = 0.0;
-        let mut t = SimTime::ZERO;
-        // Integrate in 1ms slices; schedules are coarse so this is exact
-        // enough for reporting and keeps the code independent of period
-        // handling corner cases.
-        let slice = SimDuration::from_millis(1)
-            .min(horizon / 100)
-            .max(SimDuration::from_nanos(1));
-        let mut n = 0u64;
-        while t < end {
-            acc += self.rate_at(t);
-            n += 1;
-            t += slice;
-        }
-        if n == 0 {
-            self.steps[0].1
-        } else {
-            acc / n as f64
-        }
-    }
 }
 
 /// Non-homogeneous Poisson process driven by a [`RateSchedule`], generated
@@ -388,12 +362,5 @@ mod tests {
         let mean = windows.iter().sum::<f64>() / windows.len() as f64;
         let var = windows.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / windows.len() as f64;
         assert!(var / mean > 5.0, "dispersion = {}", var / mean);
-    }
-
-    #[test]
-    fn average_rate_over_integrates() {
-        let s = RateSchedule::new(vec![(SimTime::ZERO, 100.0), (SimTime::from_secs(1), 300.0)]);
-        let avg = s.average_rate_over(SimDuration::from_secs(2));
-        assert!((avg - 200.0).abs() < 10.0, "avg = {avg}");
     }
 }

@@ -122,11 +122,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The delivery time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -135,11 +130,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -168,15 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_nanos(5), ());
         q.schedule(SimTime::from_nanos(3), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]

@@ -170,12 +170,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
-    /// Microseconds as a float.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {

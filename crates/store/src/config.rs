@@ -853,11 +853,6 @@ impl ClusterConfig {
             .product()
     }
 
-    /// Mean service time for an op of `bytes` at nominal rate.
-    pub fn nominal_service_secs(&self, bytes: u64) -> f64 {
-        self.per_op_overhead.as_secs_f64() + bytes as f64 / self.base_rate_bytes_per_sec
-    }
-
     /// Validates invariants, returning the first problem found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.servers == 0 {
@@ -1027,10 +1022,6 @@ mod tests {
                     value: -2.0,
                 },
             ),
-            (
-                r#"{"kind":"rein_ml","levels":1}"#,
-                PolicyError::LevelsOutOfRange { levels: 1 },
-            ),
         ] {
             let policy: PolicyKind = serde_json::from_str(json).unwrap();
             let err = SimulationConfig::new(policy, 10.0).validate().unwrap_err();
@@ -1180,13 +1171,6 @@ mod tests {
     fn config_error_implements_error() {
         let err: Box<dyn std::error::Error> = Box::new(ConfigError::ZeroServers);
         assert!(err.to_string().contains("servers"));
-    }
-
-    #[test]
-    fn nominal_service_time() {
-        let c = ClusterConfig::default();
-        let t = c.nominal_service_secs(1_000_000);
-        assert!((t - (5e-6 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]

@@ -143,8 +143,6 @@ impl RequestState {
 pub struct Coordinator {
     estimates: Vec<ServerEstimate>,
     requests: BTreeMap<RequestId, RequestState>,
-    /// Highest backlog estimate seen recently — a cheap cluster-load signal.
-    peak_wait: Ewma,
 }
 
 impl Coordinator {
@@ -155,7 +153,6 @@ impl Coordinator {
                 .map(|_| ServerEstimate::new(nominal_rate))
                 .collect(),
             requests: BTreeMap::new(),
-            peak_wait: Ewma::new(0.1),
         }
     }
 
@@ -171,13 +168,7 @@ impl Coordinator {
 
     /// Absorbs a piggybacked report.
     pub fn absorb_report(&mut self, report: &ServerReport, now: SimTime) {
-        self.peak_wait.record(report.backlog_secs);
         self.estimates[report.server.0 as usize].absorb_report(report, now);
-    }
-
-    /// EWMA of reported backlogs — a coarse cluster-load indicator.
-    pub fn cluster_load_signal(&self) -> f64 {
-        self.peak_wait.value_or(0.0)
     }
 
     /// Registers an in-flight request.
@@ -198,11 +189,6 @@ impl Coordinator {
     /// Removes a completed request, returning its state.
     pub fn finish(&mut self, id: RequestId) -> Option<RequestState> {
         self.requests.remove(&id)
-    }
-
-    /// Number of requests currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.requests.len()
     }
 }
 
@@ -314,7 +300,6 @@ mod tests {
     #[test]
     fn coordinator_tracks_requests() {
         let mut c = Coordinator::new(4, 1e9);
-        assert_eq!(c.in_flight(), 0);
         c.track(
             RequestId(9),
             RequestState {
@@ -332,30 +317,10 @@ mod tests {
                 measured: false,
             },
         );
-        assert_eq!(c.in_flight(), 1);
         assert!(c.request(RequestId(9)).is_some());
         assert!(c.request_mut(RequestId(9)).is_some());
         let st = c.finish(RequestId(9)).unwrap();
         assert_eq!(st.key_count, 1);
-        assert_eq!(c.in_flight(), 0);
         assert!(c.finish(RequestId(9)).is_none());
-    }
-
-    #[test]
-    fn load_signal_follows_reports() {
-        let mut c = Coordinator::new(2, 1e9);
-        assert_eq!(c.cluster_load_signal(), 0.0);
-        for _ in 0..50 {
-            c.absorb_report(
-                &ServerReport {
-                    server: ServerId(0),
-                    backlog_secs: 0.02,
-                    service_rate: 1e9,
-                    queue_len: 10,
-                },
-                SimTime::ZERO,
-            );
-        }
-        assert!(c.cluster_load_signal() > 0.015);
     }
 }

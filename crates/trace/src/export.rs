@@ -430,12 +430,6 @@ pub fn chrome_trace_with_telemetry(log: &TraceLog, telemetry: Option<&Telemetry>
     ])
 }
 
-/// Serializes [`chrome_trace`] to a writer.
-pub fn write_chrome<W: Write>(log: &TraceLog, mut w: W) -> io::Result<()> {
-    let doc = serde_json::to_string(&chrome_trace(log)).map_err(io::Error::other)?;
-    w.write_all(doc.as_bytes())
-}
-
 /// Serializes [`chrome_trace_with_telemetry`] to a writer.
 pub fn write_chrome_with_telemetry<W: Write>(
     log: &TraceLog,
@@ -709,12 +703,5 @@ mod tests {
         // Two disjoint spans share a lane; an overlapping one gets lane 1.
         let lanes = assign_lanes(&[(0, 10), (5, 15), (20, 30)]);
         assert_eq!(lanes, vec![0, 1, 0]);
-    }
-
-    #[test]
-    fn write_chrome_produces_bytes() {
-        let mut buf = Vec::new();
-        write_chrome(&tiny_log(), &mut buf).unwrap();
-        assert!(buf.starts_with(b"{\"traceEvents\":["));
     }
 }

@@ -15,7 +15,7 @@
 //!   response-side network). The five segments sum *exactly* to the
 //!   request's RCT in integer nanoseconds.
 //! * [`analysis::BlameBreakdown`] — aggregates the per-request paths into
-//!   the per-policy blame table behind `table7_rct_breakdown`.
+//!   the per-policy blame table behind `das_bench table7_rct_breakdown`.
 //! * [`diff::diff_traces`] — pairs two traces of the same seeded workload
 //!   (matching requests by id, refusing mismatched arrival timestamps) and
 //!   attributes the per-request RCT *delta* to the same five segments; the

@@ -1,57 +1,21 @@
-//! End-to-end pipeline tests: workload generation → trace persistence →
-//! engine replay → reporting, plus the real-threaded prototype driven by
-//! the same workload machinery.
+//! End-to-end pipeline tests: workload generation → engine → reporting,
+//! plus the real-threaded prototype driven by the same workload machinery
+//! (trace persistence → replay is `tests/record_replay.rs`).
 
 // Integration tests unwrap freely: a panic is the failure report.
 #![allow(clippy::unwrap_used)]
 
 use bytes::Bytes;
-use das_repro::core::adapter::{trace_to_requests, RequestStream};
 use das_repro::core::prelude::*;
 use das_repro::core::report;
 use das_repro::core::scenarios;
 use das_repro::rt::cluster::{RtCluster, RtConfig};
 use das_repro::sched::policy::PolicyKind;
-use das_repro::workload::trace::{read_trace, write_trace};
 
 fn small_cluster() -> ClusterConfig {
     let mut c = scenarios::base_cluster();
     c.servers = 8;
     c
-}
-
-#[test]
-fn trace_replay_equals_streaming() {
-    let cluster = small_cluster();
-    let workload = scenarios::base_workload(0.5, &cluster);
-    let seeds = SeedFactory::new(33);
-    let horizon = SimTime::from_millis(300);
-
-    // Stream path.
-    let sim = SimulationConfig {
-        cluster: cluster.clone(),
-        policy: PolicyKind::das(),
-        seed: 33,
-        horizon_secs: 0.3,
-        warmup_secs: 0.0,
-        rct_timeseries_bin_secs: None,
-        faults: Default::default(),
-        overload: Default::default(),
-        trace: Default::default(),
-    };
-    let streamed = run_simulation(&sim, RequestStream::new(&workload, &seeds, horizon)).unwrap();
-
-    // Trace path (through serialization).
-    let mut gen = WorkloadGenerator::new(&workload, &seeds);
-    let trace = gen.take_until(horizon);
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).unwrap();
-    let loaded = read_trace(&buf[..]).unwrap();
-    let replayed = run_simulation(&sim, trace_to_requests(&loaded, &workload, &seeds)).unwrap();
-
-    assert_eq!(streamed.completed, replayed.completed);
-    assert_eq!(streamed.mean_rct().to_bits(), replayed.mean_rct().to_bits());
-    assert_eq!(streamed.traffic, replayed.traffic);
 }
 
 #[test]

@@ -87,6 +87,31 @@ fn model_no_op_dequeued_twice() {
     );
 }
 
+/// Invariant: a retry never kills a worker. The client resubmits an op id
+/// whose first copy may be queued, in service, or already answered; in
+/// every interleaving each queued copy finds its payload (a copy that is
+/// still queued absorbs the retry), at least one reply arrives, and
+/// `shutdown()` re-raises no worker panic.
+#[test]
+fn model_resubmitted_op_never_panics_a_worker() {
+    let stats = explore(&dfs_10k(), || {
+        let server = RtServer::start(PolicyKind::Fcfs, 1, Instant::now());
+        let (tx, rx) = unbounded();
+        server.submit(op(7, vec![1], tx.clone()));
+        server.submit(op(7, vec![1], tx));
+        rx.recv().expect("the op is answered");
+        server.shutdown();
+    })
+    .unwrap_or_else(|f| panic!("{f}"));
+    // Either the bounded space was fully exhausted (stronger) or the full
+    // 10k-schedule budget was spent without a failure.
+    assert!(
+        stats.exhausted || stats.schedules >= 10_000,
+        "explored only {} schedules without exhausting",
+        stats.schedules
+    );
+}
+
 /// Invariant: shutdown with a non-empty queue neither deadlocks nor loses
 /// the wakeup — every worker parked on the queue condvar observes the
 /// flag and exits, and `shutdown()` joins them all, in every schedule.

@@ -10,10 +10,6 @@ use das_repro::sched::policy::PolicyKind;
 
 fn all_policies() -> Vec<PolicyKind> {
     let mut p = PolicyKind::standard_set();
-    p.push(PolicyKind::Edf);
-    p.push(PolicyKind::LrptLast);
-    p.push(PolicyKind::ReinMl { levels: 4 });
-    p.push(PolicyKind::Random { seed: 11 });
     p.push(PolicyKind::oracle());
     p.extend(PolicyKind::ablation_set());
     p

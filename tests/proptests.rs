@@ -40,10 +40,6 @@ fn make_op(req: u64, local_us: u64, bottleneck_us: u64, enq_us: u64, index: u32)
 
 fn all_policies() -> Vec<PolicyKind> {
     let mut p = PolicyKind::standard_set();
-    p.push(PolicyKind::Edf);
-    p.push(PolicyKind::LrptLast);
-    p.push(PolicyKind::ReinMl { levels: 4 });
-    p.push(PolicyKind::Random { seed: 11 });
     p.extend(PolicyKind::ablation_set());
     p
 }
