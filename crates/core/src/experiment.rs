@@ -165,7 +165,7 @@ impl ExperimentConfig {
         let runs = self
             .policies
             .iter()
-            .map(|&policy| run_simulation(&self.sim_config(policy), requests.iter().cloned()))
+            .map(|&policy| run_simulation(&self.sim_config(policy), requests))
             .collect::<Result<_, _>>()?;
         Ok(ExperimentResult {
             name: self.name.clone(),

@@ -5,11 +5,11 @@
 //! servers synchronously — everything it knows rides on responses it was
 //! receiving anyway.
 
-use std::collections::BTreeMap;
-
 use das_sched::types::{RequestId, ServerId, ServerReport};
 use das_sim::stats::Ewma;
 use das_sim::time::{SimDuration, SimTime};
+
+use crate::table::IdTable;
 
 /// Smoothing factor for the coordinator's per-server rate estimate.
 const RATE_EWMA_ALPHA: f64 = 0.3;
@@ -142,7 +142,13 @@ impl RequestState {
 #[derive(Debug)]
 pub struct Coordinator {
     estimates: Vec<ServerEstimate>,
-    requests: BTreeMap<RequestId, RequestState>,
+    requests: IdTable<RequestId, RequestState>,
+    /// Emptied `RequestState::ops` buffers of finished requests, handed to
+    /// the next requests so tracking one allocates nothing in steady state.
+    /// `free_ops[c]` holds the buffers with room for `2^c..2^(c+1)` ops: a
+    /// buffer serves only fan-outs of its own class, so it never grows and
+    /// a run's widest request does not size every buffer in the pool.
+    free_ops: Vec<Vec<Vec<PendingOp>>>,
 }
 
 impl Coordinator {
@@ -152,7 +158,8 @@ impl Coordinator {
             estimates: (0..servers)
                 .map(|_| ServerEstimate::new(nominal_rate))
                 .collect(),
-            requests: BTreeMap::new(),
+            requests: IdTable::new(),
+            free_ops: Vec::new(),
         }
     }
 
@@ -171,24 +178,50 @@ impl Coordinator {
         self.estimates[report.server.0 as usize].absorb_report(report, now);
     }
 
-    /// Registers an in-flight request.
-    pub fn track(&mut self, id: RequestId, state: RequestState) {
-        self.requests.insert(id, state);
+    /// Registers an in-flight request. False (and the earlier request's
+    /// state is lost) when `id` was already being tracked.
+    #[must_use]
+    pub fn track(&mut self, id: RequestId, state: RequestState) -> bool {
+        self.requests.insert(id, state).is_none()
     }
 
     /// Access a tracked request.
     pub fn request(&self, id: RequestId) -> Option<&RequestState> {
-        self.requests.get(&id)
+        self.requests.get(id)
     }
 
     /// Mutable access to a tracked request.
     pub fn request_mut(&mut self, id: RequestId) -> Option<&mut RequestState> {
-        self.requests.get_mut(&id)
+        self.requests.get_mut(id)
     }
 
     /// Removes a completed request, returning its state.
     pub fn finish(&mut self, id: RequestId) -> Option<RequestState> {
-        self.requests.remove(&id)
+        self.requests.remove(id)
+    }
+
+    /// An empty buffer with room for the `fanout` ops of the next tracked
+    /// request: a recycled one when its size class has one.
+    pub fn ops_buffer(&mut self, fanout: usize) -> Vec<PendingOp> {
+        let room = fanout.next_power_of_two();
+        self.free_ops
+            .get_mut(room.ilog2() as usize)
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| Vec::with_capacity(room))
+    }
+
+    /// Takes back the `ops` buffer of a finished request.
+    pub fn recycle(&mut self, state: RequestState) {
+        let mut ops = state.ops;
+        if ops.capacity() == 0 {
+            return;
+        }
+        ops.clear();
+        let class = ops.capacity().ilog2() as usize;
+        if self.free_ops.len() <= class {
+            self.free_ops.resize_with(class + 1, Vec::new);
+        }
+        self.free_ops[class].push(ops);
     }
 }
 
@@ -298,9 +331,46 @@ mod tests {
     }
 
     #[test]
+    fn recycled_ops_buffers_come_back_empty_and_roomy_enough() {
+        let mut c = Coordinator::new(4, 1e9);
+        let state = |ops: Vec<PendingOp>| RequestState {
+            arrival: SimTime::ZERO,
+            key_count: ops.len() as u32,
+            ops,
+            bottleneck_eta: SimTime::ZERO,
+            bottleneck_demand: SimDuration::ZERO,
+            ideal: SimDuration::ZERO,
+            measured: false,
+        };
+        let op = PendingOp {
+            server: ServerId(0),
+            eta: SimTime::ZERO,
+            demand_est: SimDuration::ZERO,
+            done: false,
+        };
+        let mut five = c.ops_buffer(5);
+        assert!(five.is_empty() && five.capacity() >= 5);
+        five.extend([op; 5]);
+        let five_at = five.as_ptr();
+        c.recycle(state(five));
+        // A wider request does not take (and regrow) the five-op buffer...
+        let nine = c.ops_buffer(9);
+        assert!(nine.is_empty() && nine.capacity() >= 9);
+        assert_ne!(nine.as_ptr(), five_at);
+        // ...a request of its class gets it back, emptied.
+        let again = c.ops_buffer(7);
+        assert!(again.is_empty());
+        assert_eq!(again.as_ptr(), five_at);
+        // A state built without the pool is taken back too.
+        c.recycle(state(Vec::new()));
+        c.recycle(state(vec![op; 3]));
+        assert_eq!(c.ops_buffer(2).capacity(), 3);
+    }
+
+    #[test]
     fn coordinator_tracks_requests() {
         let mut c = Coordinator::new(4, 1e9);
-        c.track(
+        let _ = c.track(
             RequestId(9),
             RequestState {
                 arrival: SimTime::ZERO,

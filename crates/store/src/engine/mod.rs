@@ -31,7 +31,7 @@ mod recovery;
 #[cfg(test)]
 mod tests;
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 
 use das_metrics::batch::BatchMeans;
 use das_metrics::recovery::RecoveryStats;
@@ -53,6 +53,7 @@ use crate::config::SimulationConfig;
 use crate::coordinator::{Coordinator, PendingOp, RequestState};
 use crate::partition::Partitioner;
 use crate::server::Server;
+use crate::table::IdTable;
 
 use overload::Overload;
 use recovery::{Recovery, RecoveryEvent};
@@ -180,9 +181,11 @@ struct Dispatch {
 #[derive(Debug)]
 enum Event {
     NextArrival,
+    /// One delivered copy of an op; the server stamps the arrival instant
+    /// (this event's time) when it queues it.
     OpArrival {
         server: ServerId,
-        op: QueuedOp,
+        tag: OpTag,
     },
     ServiceDone {
         server: ServerId,
@@ -256,12 +259,32 @@ fn link_fate(link: &LinkFaults, recovery: Option<&mut Recovery>) -> MessageFate 
 /// `(arrival, id)` (see `das_workload::trace::replay_order`), and the
 /// generator emits that order natively, so a recorded trace replays
 /// bit-identically to the generative stream.
+///
+/// The engine only reads its input, so `requests` may yield owned requests
+/// or references: one materialised workload can feed any number of runs.
+/// A request that reads no keys, or whose id is still in flight when it
+/// arrives, is an error like a backwards arrival.
 pub fn run_simulation<I>(config: &SimulationConfig, requests: I) -> Result<RunResult, String>
 where
-    I: IntoIterator<Item = StoreRequest>,
+    I: IntoIterator,
+    I::Item: Borrow<StoreRequest>,
 {
     config.validate().map_err(|e| e.to_string())?;
     Engine::new(config).run(requests.into_iter())
+}
+
+/// The buffers `handle_request` fills while it places one request. `Core`
+/// keeps them between requests (taken on entry, handed back on every
+/// exit), so placing a request allocates only while one of them is still
+/// growing towards the run's widest fan-out.
+#[derive(Default)]
+struct Placement {
+    /// Replica set of the key being placed.
+    replicas: Vec<ServerId>,
+    /// Per target server: (server, total bytes, key count, bytes written).
+    per_server: Vec<(ServerId, u64, u32, u64)>,
+    /// Per op, in `per_server` order: (server, service estimate, eta).
+    etas: Vec<(ServerId, f64, SimTime)>,
 }
 
 /// Everything the clean dispatch → queue → serve → reply path owns. The
@@ -282,7 +305,7 @@ struct Core<'a> {
     traffic: TrafficAccounting,
     /// True byte accounting per in-flight op (the scheduler only sees
     /// estimates).
-    op_bytes: BTreeMap<OpId, OpBytes>,
+    op_bytes: IdTable<OpId, OpBytes>,
     // Policy capabilities, read once.
     wants_hints: bool,
     wants_piggyback: bool,
@@ -300,10 +323,14 @@ struct Core<'a> {
     completed: u64,
     measured: u64,
     events_processed: u64,
-    pending_next: Option<StoreRequest>,
     /// Requests admitted (dispatched) this run.
     accepted: u64,
     trace: Tracer,
+    // Reused buffers: the clean path allocates nothing per request.
+    placement: Placement,
+    /// The servers a progress hint is being sent to, collected while the
+    /// coordinator's request state is borrowed.
+    hint_targets: Vec<ServerId>,
 }
 
 struct Engine<'a> {
@@ -341,7 +368,7 @@ impl<'a> Core<'a> {
             noise_rng: seeds.stream("engine-noise", 0),
             noise,
             traffic: TrafficAccounting::new(),
-            op_bytes: BTreeMap::new(),
+            op_bytes: IdTable::new(),
             wants_hints: probe.wants_hints(),
             wants_piggyback: probe.wants_piggyback(),
             metadata_bytes: probe.metadata_bytes(),
@@ -357,7 +384,6 @@ impl<'a> Core<'a> {
             completed: 0,
             measured: 0,
             events_processed: 0,
-            pending_next: None,
             accepted: 0,
             trace: Tracer(
                 config
@@ -365,19 +391,26 @@ impl<'a> Core<'a> {
                     .enabled
                     .then(|| TraceRecorder::new(&config.trace, config.seed)),
             ),
+            placement: Placement::default(),
+            hint_targets: Vec::new(),
             servers,
             config,
         }
     }
 
+    /// Index of the coordinator owning request `id`.
+    fn coord_index(&self, id: RequestId) -> usize {
+        (id.0 % self.coordinators.len() as u64) as usize
+    }
+
     /// The coordinator owning request `id`.
     fn coord(&self, id: RequestId) -> &Coordinator {
-        &self.coordinators[(id.0 % self.coordinators.len() as u64) as usize]
+        &self.coordinators[self.coord_index(id)]
     }
 
     /// Mutable access to the coordinator owning request `id`.
     fn coord_mut(&mut self, id: RequestId) -> &mut Coordinator {
-        let idx = (id.0 % self.coordinators.len() as u64) as usize;
+        let idx = self.coord_index(id);
         &mut self.coordinators[idx]
     }
 
@@ -510,14 +543,8 @@ impl<'a> Core<'a> {
         // network delay. The only place an `OpArrival` is scheduled.
         for _ in 0..fate.copies {
             let delay = self.net.delay(sent.req_bytes, &mut self.net_rng) + fate.extra_delay;
-            let op = QueuedOp {
-                tag,
-                local_estimate: tag.local_estimate,
-                // Stamped on arrival at the server (see OpArrival).
-                enqueued_at: now + delay,
-            };
             self.queue
-                .schedule(now + delay, Event::OpArrival { server, op });
+                .schedule(now + delay, Event::OpArrival { server, tag });
         }
     }
 }
@@ -539,15 +566,16 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(
+    fn run<R: Borrow<StoreRequest>>(
         mut self,
-        mut requests: impl Iterator<Item = StoreRequest>,
+        mut requests: impl Iterator<Item = R>,
     ) -> Result<RunResult, String> {
         // Prime the arrival stream (`Recovery::new` already scheduled any
         // crash transitions, so a crash at an arrival instant is seen
         // before that arrival).
-        self.core.pending_next = requests.next();
-        if let Some(r) = &self.core.pending_next {
+        let mut pending_next = requests.next();
+        if let Some(r) = &pending_next {
+            let r: &StoreRequest = r.borrow();
             if r.arrival < self.core.horizon {
                 self.core.queue.schedule(r.arrival, Event::NextArrival);
             }
@@ -560,14 +588,15 @@ impl<'a> Engine<'a> {
             match scheduled.event {
                 Event::NextArrival => {
                     let core = &mut self.core;
-                    let req = core
-                        .pending_next
+                    let req = pending_next
                         .take()
                         // das-lint: allow(unwrap-lib): NextArrival is only scheduled after pending_next is set
                         .expect("NextArrival without a pending request");
+                    let req: &StoreRequest = req.borrow();
                     debug_assert_eq!(req.arrival, now);
-                    core.pending_next = requests.next();
-                    if let Some(next) = &core.pending_next {
+                    pending_next = requests.next();
+                    if let Some(next) = &pending_next {
+                        let next: &StoreRequest = next.borrow();
                         if next.arrival < core.horizon {
                             if next.arrival < now {
                                 return Err(format!(
@@ -578,9 +607,9 @@ impl<'a> Engine<'a> {
                             core.queue.schedule(next.arrival, Event::NextArrival);
                         }
                     }
-                    self.handle_request(req, now);
+                    self.handle_request(req, now)?;
                 }
-                Event::OpArrival { server, op } => self.handle_op_arrival(server, op, now),
+                Event::OpArrival { server, tag } => self.handle_op_arrival(server, tag, now),
                 Event::ServiceDone {
                     server,
                     op,
@@ -687,14 +716,34 @@ impl<'a> Engine<'a> {
     }
 
     /// Splits a request into per-server ops, stamps tags, and dispatches.
-    fn handle_request(&mut self, req: StoreRequest, now: SimTime) {
+    fn handle_request(&mut self, req: &StoreRequest, now: SimTime) -> Result<(), String> {
+        let mut placement = std::mem::take(&mut self.core.placement);
+        let placed = self.place_request(req, now, &mut placement);
+        self.core.placement = placement;
+        placed
+    }
+
+    /// The body of `handle_request`, working in `Core`'s placement buffers.
+    fn place_request(
+        &mut self,
+        req: &StoreRequest,
+        now: SimTime,
+        placement: &mut Placement,
+    ) -> Result<(), String> {
+        if req.reads.is_empty() {
+            return Err(format!("request {} reads no keys", req.id));
+        }
         let core = &mut self.core;
         let cfg = core.config;
         let measured = req.arrival >= core.warmup;
+        let Placement {
+            replicas,
+            per_server,
+            etas,
+        } = placement;
         // Choose a replica per key (least estimated completion), then
         // coalesce per server.
-        // (server, total bytes, key count, bytes written)
-        let mut per_server: Vec<(ServerId, u64, u32, u64)> = Vec::new();
+        per_server.clear();
         // Filled only for the recovery stage: the viable retry/hedge
         // targets of each op.
         let mut candidate_sets = recovery::CandidateSets::new();
@@ -702,13 +751,15 @@ impl<'a> Engine<'a> {
         for read in &req.reads {
             // Writes go to the primary (single-copy write model); reads may
             // pick any replica.
-            let replicas = if read.write {
-                vec![core.partitioner.primary(read.key)]
+            if read.write {
+                replicas.clear();
+                replicas.push(core.partitioner.primary(read.key));
             } else {
-                core.partitioner.replicas(read.key, cfg.cluster.replication)
-            };
+                core.partitioner
+                    .replicas_into(read.key, cfg.cluster.replication, replicas);
+            }
             let server = core
-                .pick_target(&replicas, &[], request_id, read.bytes as u64, now)
+                .pick_target(replicas, &[], request_id, read.bytes as u64, now)
                 // das-lint: allow(unwrap-lib): placement never yields an empty replica set
                 .expect("non-empty replica set");
             if self.recovery.is_some() {
@@ -734,10 +785,10 @@ impl<'a> Engine<'a> {
         });
 
         // Per-op estimates.
-        let mut etas = Vec::with_capacity(per_server.len());
+        etas.clear();
         let mut bottleneck_demand = 0.0f64;
         let mut ideal = 0.0f64;
-        for &(server, bytes, _, _) in &per_server {
+        for &(server, bytes, _, _) in per_server.iter() {
             let service_est = core.estimate_service(request_id, server, bytes, now);
             let wait_est = core.estimate_wait(request_id, server, now);
             let eta = now + SimDuration::from_secs_f64(core.net_mean_secs + wait_est + service_est);
@@ -752,14 +803,14 @@ impl<'a> Engine<'a> {
 
         if let Some(ov) = &mut self.overload {
             let written: u64 = per_server.iter().map(|&(_, _, _, w)| w).sum();
-            if !ov.admit(core, request_id, written, &etas, bottleneck_eta, now) {
+            if !ov.admit(core, request_id, written, etas, bottleneck_eta, now) {
                 // Nothing was dispatched, charged, or tracked yet: the
                 // reject costs the system only this estimate pass.
-                return;
+                return Ok(());
             }
         }
 
-        let mut ops = Vec::with_capacity(per_server.len());
+        let mut ops = core.coord_mut(request_id).ops_buffer(per_server.len());
         for (index, (&(server, bytes, keys, written), &(_, service_est, eta))) in
             per_server.iter().zip(etas.iter()).enumerate()
         {
@@ -804,31 +855,32 @@ impl<'a> Engine<'a> {
         if measured {
             core.ideal_stats.record(ideal);
         }
-        core.coord_mut(request_id).track(
-            request_id,
-            RequestState {
-                arrival: req.arrival,
-                key_count: req.reads.len() as u32,
-                ops,
-                bottleneck_eta,
-                bottleneck_demand: SimDuration::from_secs_f64(bottleneck_demand),
-                ideal: SimDuration::from_secs_f64(ideal),
-                measured,
-            },
-        );
+        let state = RequestState {
+            arrival: req.arrival,
+            key_count: req.reads.len() as u32,
+            ops,
+            bottleneck_eta,
+            bottleneck_demand: SimDuration::from_secs_f64(bottleneck_demand),
+            ideal: SimDuration::from_secs_f64(ideal),
+            measured,
+        };
+        if !core.coord_mut(request_id).track(request_id, state) {
+            return Err(format!("request id {} is already in flight", req.id));
+        }
         core.accepted += 1;
+        Ok(())
     }
 
     /// One delivered copy of an op reaches `server`: turned away by a
     /// stage, or queued.
-    fn handle_op_arrival(&mut self, server: ServerId, op: QueuedOp, now: SimTime) {
+    fn handle_op_arrival(&mut self, server: ServerId, tag: OpTag, now: SimTime) {
         let core = &mut self.core;
-        let op_id = op.tag.op;
+        let op_id = tag.op;
         if let Some(ov) = &self.overload {
             if ov.is_shed(op_id.request) {
                 // A sibling delivery already shed this request: the op is
                 // dropped at the door.
-                core.op_bytes.remove(&op_id);
+                core.op_bytes.remove(op_id);
                 return;
             }
         }
@@ -849,6 +901,11 @@ impl<'a> Engine<'a> {
                 return;
             }
         }
+        let op = QueuedOp {
+            tag,
+            local_estimate: tag.local_estimate,
+            enqueued_at: now,
+        };
         core.servers[server.0 as usize].enqueue(op, now);
         let s = &core.servers[server.0 as usize];
         core.trace.emit(op_id.request, || TraceEvent::OpEnqueue {
@@ -884,7 +941,7 @@ impl<'a> Engine<'a> {
             let op_bytes = &core.op_bytes;
             let mut served = OpBytes::default();
             let service_of = |op: &QueuedOp| {
-                if let Some(bytes) = op_bytes.get(&op.tag.op) {
+                if let Some(bytes) = op_bytes.get(op.tag.op) {
                     served = *bytes;
                 }
                 SimDuration::from_secs_f64(overhead + served.service as f64 / rate)
@@ -975,7 +1032,7 @@ impl<'a> Engine<'a> {
         let accepted = match &mut self.recovery {
             Some(r) => r.accept_response(core, op, server, service, now),
             None => {
-                core.op_bytes.remove(&op);
+                core.op_bytes.remove(op);
                 true
             }
         };
@@ -994,12 +1051,14 @@ impl<'a> Engine<'a> {
         // extract everything the later phases need, so the coordinator
         // borrow ends before other parts of the core are touched.
         enum Outcome {
-            Hint(HintUpdate, Vec<ServerId>),
+            /// To be sent to the servers now in `Core::hint_targets`.
+            Hint(HintUpdate),
             NoHint,
             Complete,
         }
         let (pending_op, outcome) = {
-            let Some(state) = core.coord_mut(op.request).request_mut(op.request) else {
+            let coord = core.coord_index(op.request);
+            let Some(state) = core.coordinators[coord].request_mut(op.request) else {
                 debug_assert!(false, "response for untracked request");
                 return;
             };
@@ -1014,13 +1073,12 @@ impl<'a> Engine<'a> {
                     if wants_hints && changed {
                         state.bottleneck_eta = new_eta;
                         state.bottleneck_demand = new_demand;
-                        Outcome::Hint(
-                            HintUpdate {
-                                bottleneck_eta: new_eta,
-                                remaining_demand: new_demand,
-                            },
-                            state.pending_servers().collect(),
-                        )
+                        core.hint_targets.clear();
+                        core.hint_targets.extend(state.pending_servers());
+                        Outcome::Hint(HintUpdate {
+                            bottleneck_eta: new_eta,
+                            remaining_demand: new_demand,
+                        })
                     } else {
                         Outcome::NoHint
                     }
@@ -1040,8 +1098,8 @@ impl<'a> Engine<'a> {
         }
         match outcome {
             Outcome::NoHint => {}
-            Outcome::Hint(update, targets) => {
-                for server in targets {
+            Outcome::Hint(update) => {
+                for &server in &core.hint_targets {
                     if core.oracle {
                         // Centralized reference: instant, free updates.
                         core.servers[server.0 as usize].hint(op.request, update, now);
@@ -1094,6 +1152,7 @@ impl<'a> Engine<'a> {
                 if let Some(r) = &mut self.recovery {
                     r.note_completion(op.request, state.measured, rct);
                 }
+                core.coord_mut(op.request).recycle(state);
             }
         }
     }

@@ -169,7 +169,7 @@ impl Overload {
         now: SimTime,
     ) {
         let request = op.request;
-        core.op_bytes.remove(&op);
+        core.op_bytes.remove(op);
         let Some(state) = core.coord_mut(request).finish(request) else {
             // The request already completed or aborted (e.g. a duplicated
             // late delivery hit the full queue): nothing left to shed.
@@ -207,7 +207,7 @@ impl Overload {
     ) -> bool {
         let shed = self.is_shed(op.request);
         if shed {
-            core.op_bytes.remove(&op);
+            core.op_bytes.remove(op);
         }
         if fault_free {
             if shed {
@@ -251,7 +251,7 @@ impl Overload {
                 break;
             };
             let fid = fop.tag.op;
-            let fbytes = core.op_bytes.get(&fid).copied().unwrap_or_default();
+            let fbytes = core.op_bytes.get(fid).copied().unwrap_or_default();
             let tiny = fbytes.service <= batch.tiny_op_bytes;
             let overhead = if tiny {
                 batch.overhead_fraction * full_overhead

@@ -37,15 +37,11 @@ pub(super) enum RecoveryEvent {
 pub(super) type CandidateSets = Vec<(ServerId, Vec<ServerId>)>;
 
 /// Narrows `server`'s candidate set to the servers that also hold a key
-/// with these `replicas`.
-pub(super) fn narrow_candidates(
-    sets: &mut CandidateSets,
-    server: ServerId,
-    replicas: Vec<ServerId>,
-) {
+/// with these `replicas` (copied only when they open a new set).
+pub(super) fn narrow_candidates(sets: &mut CandidateSets, server: ServerId, replicas: &[ServerId]) {
     match sets.iter_mut().find(|(s, _)| *s == server) {
         Some((_, set)) => set.retain(|s| replicas.contains(s)),
-        None => sets.push((server, replicas)),
+        None => sets.push((server, replicas.to_vec())),
     }
 }
 
@@ -233,7 +229,7 @@ impl Recovery {
         now: SimTime,
     ) {
         let request = op.request;
-        let bytes = core.op_bytes.get(&op).map_or(0, |b| b.service);
+        let bytes = core.op_bytes.get(op).map_or(0, |b| b.service);
         let service_est = core.estimate_service(request, server, bytes, now);
         let wait_est = core.estimate_wait(request, server, now);
         let eta = now + SimDuration::from_secs_f64(core.net_mean_secs + wait_est + service_est);
@@ -517,7 +513,7 @@ impl Recovery {
         };
         rt.retry_pending = false;
         debug_assert_eq!(rt.open_attempts(), 0);
-        let bytes = core.op_bytes.get(&op).map_or(0, |b| b.service);
+        let bytes = core.op_bytes.get(op).map_or(0, |b| b.service);
         if let Some(server) = core.pick_target(&rt.candidates, &[], op.request, bytes, now) {
             self.stats.retries += 1;
             self.exposed.insert(op.request);
@@ -544,7 +540,7 @@ impl Recovery {
             .filter(|a| a.open)
             .map(|a| a.server)
             .collect();
-        let bytes = core.op_bytes.get(&op).map_or(0, |b| b.service);
+        let bytes = core.op_bytes.get(op).map_or(0, |b| b.service);
         let Some(server) = core.pick_target(&rt.candidates, &exclude, op.request, bytes, now)
         else {
             return;

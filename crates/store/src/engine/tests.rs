@@ -191,7 +191,7 @@ fn replication_spreads_reads() {
 #[test]
 fn empty_workload_is_fine() {
     let cfg = quick_config(PolicyKind::Fcfs);
-    let result = run_simulation(&cfg, Vec::new()).unwrap();
+    let result = run_simulation(&cfg, Vec::<StoreRequest>::new()).unwrap();
     assert_eq!(result.completed, 0);
     assert_eq!(result.mean_rct(), 0.0);
 }
@@ -212,6 +212,102 @@ fn out_of_order_arrivals_rejected() {
         },
     ];
     assert!(run_simulation(&cfg, reqs).is_err());
+}
+
+#[test]
+fn request_without_keys_is_rejected() {
+    // Tracked with zero ops it could never complete: `accepted` would
+    // outrun `completed` (and trip the teardown assert in debug builds).
+    let cfg = quick_config(PolicyKind::Fcfs);
+    let mut reqs = requests(3, 100, 2);
+    reqs[1].reads.clear();
+    let err = run_simulation(&cfg, reqs).unwrap_err();
+    assert_eq!(err, "request 1 reads no keys");
+}
+
+#[test]
+fn request_id_still_in_flight_is_rejected() {
+    // The second request would overwrite the first one's progress record
+    // while its ops are still out.
+    let cfg = quick_config(PolicyKind::das());
+    let mut reqs = requests(3, 1, 4);
+    reqs[2].id = 0;
+    let err = run_simulation(&cfg, reqs).unwrap_err();
+    assert_eq!(err, "request id 0 is already in flight");
+    // An id whose earlier request has long completed is free again.
+    let mut spaced = requests(3, 100_000, 4);
+    spaced[2].id = 0;
+    assert_eq!(run_simulation(&cfg, spaced).unwrap().completed, 3);
+}
+
+#[test]
+fn borrowed_and_owned_input_run_identically() {
+    let cfg = quick_config(PolicyKind::das());
+    let reqs = requests(300, 60, 5);
+    let borrowed = run_simulation(&cfg, &reqs).unwrap();
+    let owned = run_simulation(&cfg, reqs).unwrap();
+    assert_eq!(borrowed.mean_rct().to_bits(), owned.mean_rct().to_bits());
+    assert_eq!(borrowed.events_processed, owned.events_processed);
+    assert_eq!(borrowed.traffic, owned.traffic);
+}
+
+#[test]
+fn rejected_request_leaves_the_reused_buffers_usable() {
+    // A penalised write is turned away at admission after `handle_request`
+    // filled its placement buffers; the next request must not see them.
+    let mut cfg = quick_config(PolicyKind::das());
+    cfg.overload.admission.deadline_secs = 0.01;
+    cfg.overload.admission.write_penalty = 100.0;
+    let mut engine = Engine::new(&cfg);
+    let rejected = StoreRequest {
+        id: 0,
+        arrival: SimTime::ZERO,
+        reads: vec![KeyRead::read(1, 4096), KeyRead::write(3, 1_000_000)],
+    };
+    engine.handle_request(&rejected, SimTime::ZERO).unwrap();
+    assert_eq!(engine.core.accepted, 0);
+    assert!(
+        engine.core.placement.per_server.capacity() > 0,
+        "the buffers went back to the core on the early return"
+    );
+    let admitted = StoreRequest {
+        id: 1,
+        arrival: SimTime::ZERO,
+        reads: vec![KeyRead::read(7, 4096)],
+    };
+    engine.handle_request(&admitted, SimTime::ZERO).unwrap();
+    assert_eq!(engine.core.accepted, 1);
+    assert_eq!(engine.core.placement.per_server.len(), 1);
+    let state = engine
+        .core
+        .coord(RequestId(1))
+        .request(RequestId(1))
+        .unwrap();
+    assert_eq!(state.ops.len(), 1, "one key, one op");
+}
+
+#[test]
+fn shed_requests_leave_the_reused_buffers_usable() {
+    // Whole requests are torn down at full queues between ordinary
+    // completions. A stale placement entry would show up as a fan-out
+    // above the key count, a stale `ops` entry as a request that can
+    // never complete.
+    let mut cfg = quick_config(PolicyKind::das());
+    cfg.overload.admission.deadline_secs = 1.0;
+    cfg.overload.admission.queue_capacity = 4;
+    cfg.trace = das_trace::TraceConfig::enabled();
+    let result = run_simulation(&cfg, requests(2000, 3, 3)).unwrap();
+    let r = &result.recovery;
+    assert!(r.shed_queue > 0 && result.completed > 0);
+    assert_eq!(r.accepted, result.completed + r.shed_queue);
+    for e in &result.trace.unwrap().events {
+        if let TraceEvent::RequestArrive { keys, fanout, .. } = e {
+            assert!(
+                1 <= *fanout && fanout <= keys,
+                "fanout {fanout} of {keys} keys"
+            );
+        }
+    }
 }
 
 #[test]
@@ -654,8 +750,10 @@ fn faulty_runs_are_deterministic() {
 
 #[test]
 fn event_size_is_pinned() {
-    // `sim_wide` sifts these through the heap: grouping the recovery
-    // stage's variants behind `Event::Recovery` must not fatten the rest.
-    assert_eq!(std::mem::size_of::<Event>(), 80);
+    // `sim_wide` sifts these through the heap. `OpArrival` carries the
+    // 56-byte `OpTag` (the server builds the `QueuedOp` around it on
+    // arrival) and sets the size; grouping the recovery stage's variants
+    // behind `Event::Recovery` must not fatten the rest.
+    assert_eq!(std::mem::size_of::<Event>(), 64);
     assert!(std::mem::size_of::<RecoveryEvent>() <= 24);
 }

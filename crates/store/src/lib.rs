@@ -53,6 +53,7 @@ pub mod coordinator;
 pub mod engine;
 pub mod partition;
 pub mod server;
+mod table;
 
 pub use config::{ClusterConfig, OverloadProfile, PerfEvent, SimulationConfig};
 pub use engine::{run_simulation, KeyRead, RunResult, StoreRequest};

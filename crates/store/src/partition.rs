@@ -130,14 +130,7 @@ impl Partitioner {
     pub fn primary(&self, key: u64) -> ServerId {
         match self {
             Partitioner::HashMod { servers } => ServerId((mix(key) % *servers as u64) as u32),
-            Partitioner::ConsistentHash { ring, .. } => {
-                let h = mix(key);
-                let idx = match ring.binary_search_by_key(&h, |&(rh, _)| rh) {
-                    Ok(i) => i,
-                    Err(i) => i % ring.len(),
-                };
-                ring[idx].1
-            }
+            Partitioner::ConsistentHash { ring, .. } => ring[ring_index(ring, key)].1,
             Partitioner::Range { n_keys, servers } => {
                 let width = n_keys.div_ceil(*servers as u64);
                 ServerId(((key / width).min(*servers as u64 - 1)) as u32)
@@ -148,19 +141,22 @@ impl Partitioner {
     /// The `replicas` distinct servers holding `key` (primary first).
     /// Clamped to the cluster size.
     pub fn replicas(&self, key: u64, replicas: u32) -> Vec<ServerId> {
+        let mut out = Vec::with_capacity(replicas.clamp(1, self.servers()) as usize);
+        self.replicas_into(key, replicas, &mut out);
+        out
+    }
+
+    /// [`Partitioner::replicas`] written over `out` (whatever it held is
+    /// discarded), so a caller placing key after key reuses one buffer.
+    pub fn replicas_into(&self, key: u64, replicas: u32, out: &mut Vec<ServerId>) {
+        out.clear();
         let n = self.servers();
         let r = replicas.clamp(1, n);
-        let primary = self.primary(key);
         // Successor placement: the next r-1 distinct servers on the ring
         // (or numerically, for non-ring partitioners).
         match self {
             Partitioner::ConsistentHash { ring, .. } => {
-                let h = mix(key);
-                let start = match ring.binary_search_by_key(&h, |&(rh, _)| rh) {
-                    Ok(i) => i,
-                    Err(i) => i % ring.len(),
-                };
-                let mut out = Vec::with_capacity(r as usize);
+                let start = ring_index(ring, key);
                 for offset in 0..ring.len() {
                     let s = ring[(start + offset) % ring.len()].1;
                     if !out.contains(&s) {
@@ -170,10 +166,22 @@ impl Partitioner {
                         }
                     }
                 }
-                out
             }
-            _ => (0..r).map(|i| ServerId((primary.0 + i) % n)).collect(),
+            _ => {
+                let primary = self.primary(key);
+                out.extend((0..r).map(|i| ServerId((primary.0 + i) % n)));
+            }
         }
+    }
+}
+
+/// Index of the ring point owning `key`: the first point at or after the
+/// key's hash, wrapping past the last point to the first.
+fn ring_index(ring: &[(u64, ServerId)], key: u64) -> usize {
+    let h = mix(key);
+    match ring.binary_search_by_key(&h, |&(rh, _)| rh) {
+        Ok(i) => i,
+        Err(i) => i % ring.len(),
     }
 }
 
@@ -271,6 +279,29 @@ mod tests {
                 assert_eq!(reps[0], p.primary(k));
                 let set: std::collections::HashSet<ServerId> = reps.iter().copied().collect();
                 assert_eq!(set.len(), 3, "{cfg:?} key {k}: {reps:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn replicas_into_overwrites_a_dirty_buffer_with_what_replicas_returns() {
+        let n = 8;
+        for cfg in [
+            PartitionerConfig::HashMod,
+            PartitionerConfig::default(),
+            PartitionerConfig::Range { n_keys: 10_000 },
+        ] {
+            let p = cfg.build(n);
+            let mut buf = Vec::new();
+            for r in [0, 1, 3, n + 1] {
+                for k in 0..300u64 {
+                    // Left dirty on purpose: the previous key's servers
+                    // plus one that is not in the cluster.
+                    buf.push(ServerId(n + 7));
+                    p.replicas_into(k * 7919, r, &mut buf);
+                    assert_eq!(buf, p.replicas(k * 7919, r), "{cfg:?} r {r} key {k}");
+                    assert_eq!(buf.len() as u32, r.clamp(1, n));
+                }
             }
         }
     }
