@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every quick-mode output that has a committed golden under
-# results/ci/ (one `das_bench <id>...` call for the figures and tables,
-# then the das_experiment CLI paths) and byte-diffs it, exiting non-zero
-# on the first difference.
+# results/ci/ (one `das_bench all` call for every figure and table in the
+# registry, then the das_experiment CLI paths) and byte-diffs it, exiting
+# non-zero on the first difference.
 # CI runs exactly this script; run it locally the same way:
 #
 #     cargo build --release --offline --workspace
@@ -24,13 +24,14 @@ bin=./target/release
 golden=results/ci
 export DAS_QUICK=1 DAS_RESULTS_DIR="$out"
 
-# Quick-mode figures and tables: the clean path with tracing off (fig06),
+# Every quick-mode figure and table the registry lists, each pinned by
+# results/ci/<id>.quick.{json,md}: the clean path across every sweep,
 # crash + retry (fig22), hedging (fig23), overload control (fig24), the
 # trace pipeline (table7-9), the scenario corpus (table10, whose traces
 # are committed and byte-pinned) and the chaos search (table11).
-figures="fig06 fig22 fig23 fig24 table7_rct_breakdown table8_blame_diff
-  table9_policy_ladder table10_scenario_corpus table11_chaos_search"
-$bin/das_bench $figures > /dev/null
+figures=$($bin/das_bench list | awk '{print $1}')
+test -n "$figures"
+$bin/das_bench all > /dev/null
 for f in table7_das.chrome.json table10_flash_crowd_fcfs.jsonl table10_flash_crowd_das.jsonl; do
   test -s "$out/$f"
 done
