@@ -98,8 +98,6 @@ pub struct PendingOp {
 pub struct RequestState {
     /// Arrival instant at the coordinator.
     pub arrival: SimTime,
-    /// Number of keys requested (before per-server coalescing).
-    pub key_count: u32,
     /// Per-op progress (one entry per target server).
     pub ops: Vec<PendingOp>,
     /// Current estimated bottleneck completion instant (max pending eta).
@@ -297,7 +295,6 @@ mod tests {
     fn request_state_tracks_completion() {
         let mut st = RequestState {
             arrival: SimTime::ZERO,
-            key_count: 3,
             ops: vec![
                 PendingOp {
                     server: ServerId(0),
@@ -335,7 +332,6 @@ mod tests {
         let mut c = Coordinator::new(4, 1e9);
         let state = |ops: Vec<PendingOp>| RequestState {
             arrival: SimTime::ZERO,
-            key_count: ops.len() as u32,
             ops,
             bottleneck_eta: SimTime::ZERO,
             bottleneck_demand: SimDuration::ZERO,
@@ -374,7 +370,6 @@ mod tests {
             RequestId(9),
             RequestState {
                 arrival: SimTime::ZERO,
-                key_count: 1,
                 ops: vec![PendingOp {
                     server: ServerId(2),
                     eta: SimTime::from_micros(10),
@@ -390,7 +385,7 @@ mod tests {
         assert!(c.request(RequestId(9)).is_some());
         assert!(c.request_mut(RequestId(9)).is_some());
         let st = c.finish(RequestId(9)).unwrap();
-        assert_eq!(st.key_count, 1);
+        assert_eq!(st.ops.len(), 1);
         assert!(c.finish(RequestId(9)).is_none());
     }
 }

@@ -857,7 +857,6 @@ impl<'a> Engine<'a> {
         }
         let state = RequestState {
             arrival: req.arrival,
-            key_count: req.reads.len() as u32,
             ops,
             bottleneck_eta,
             bottleneck_demand: SimDuration::from_secs_f64(bottleneck_demand),
