@@ -41,11 +41,7 @@ fn main() -> ExitCode {
     let mut ctx = Ctx::new(quick_mode());
     let mut combined = String::from("# DAS reproduction — experiment outputs\n\n");
     for figure in selected {
-        let output = (figure.run)(&mut ctx);
-        assert_eq!(
-            output.id, figure.id,
-            "registry id and FigureOutput id differ"
-        );
+        let output = figure.run(&mut ctx);
         output.emit();
         combined.push_str(&output.to_markdown());
         combined.push('\n');

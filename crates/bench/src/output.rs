@@ -12,7 +12,8 @@ use serde::Serialize;
 /// One regenerated figure or table.
 #[derive(Debug, Serialize)]
 pub struct FigureOutput {
-    /// Experiment id, e.g. `"fig06"`.
+    /// Experiment id, e.g. `"fig06"`: the registry entry's, stamped in by
+    /// [`crate::figures::Figure::run`].
     pub id: String,
     /// Human title.
     pub title: String,
@@ -23,10 +24,10 @@ pub struct FigureOutput {
 }
 
 impl FigureOutput {
-    /// Creates an output with no tables yet.
-    pub fn new(id: impl Into<String>, title: impl Into<String>) -> Self {
+    /// Creates an output with no tables yet and no id.
+    pub fn new(title: impl Into<String>) -> Self {
         FigureOutput {
-            id: id.into(),
+            id: String::new(),
             title: title.into(),
             tables: Vec::new(),
             notes: String::new(),
@@ -104,7 +105,10 @@ mod tests {
 
     #[test]
     fn markdown_contains_tables_and_notes() {
-        let mut f = FigureOutput::new("figX", "demo");
+        let mut f = FigureOutput {
+            id: "figX".into(),
+            ..FigureOutput::new("demo")
+        };
         let mut t = ComparisonTable::new("T", vec!["a".into()]);
         t.push_row("r", vec![1.0]);
         f.tables.push(t);

@@ -280,26 +280,45 @@ pub fn blame_diff_delta_rows(d: &TraceDiff) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Renders a complete blame-diff report: the three tables plus the
-/// diverging delta-bar chart, as printed by `das_experiment blame-diff`.
-pub fn render_blame_diff(a_name: &str, b_name: &str, d: &TraceDiff) -> String {
+/// The diverging bar chart of `d`'s per-segment mean deltas (`B − A`, ms)
+/// and, labelled `dominant`, the segment that improved most: what
+/// [`render_blame_diff`], [`render_ladder`] and Tables 8–9 print after
+/// their tables. Empty when no segment moved.
+pub fn delta_chart(a_name: &str, b_name: &str, d: &TraceDiff, dominant: &str) -> String {
     let mut out = String::new();
-    for t in blame_diff_tables(a_name, b_name, d) {
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
     if let Some(chart) = das_metrics::ascii::diverging_bars(&blame_diff_delta_rows(d), 30) {
         out.push_str(&format!("mean Δ per segment, ms ({b_name} − {a_name}):\n"));
         out.push_str(&chart);
     }
     if let Some(s) = d.dominant_negative_segment() {
         out.push_str(&format!(
-            "\ndominant improvement: {} ({:+.3} ms mean)\n",
+            "\n{dominant}: {} ({:+.3} ms mean)",
             s.label(),
             d.mean_delta_secs(s) * 1e3
         ));
     }
     out
+}
+
+/// `tables` as Markdown, then `chart`, ending in a newline.
+fn render_report(tables: Vec<ComparisonTable>, chart: String) -> String {
+    let mut out = String::new();
+    for t in tables {
+        out.push_str(&t.to_markdown());
+        out.push('\n');
+    }
+    out.push_str(&chart);
+    if !out.ends_with('\n') {
+        out.push('\n');
+    }
+    out
+}
+
+/// Renders a complete blame-diff report: the three tables plus the
+/// diverging delta-bar chart, as printed by `das_experiment blame-diff`.
+pub fn render_blame_diff(a_name: &str, b_name: &str, d: &TraceDiff) -> String {
+    let chart = delta_chart(a_name, b_name, d, "dominant improvement");
+    render_report(blame_diff_tables(a_name, b_name, d), chart)
 }
 
 /// Tables for an N-way policy ladder: the per-rung segment means, the
@@ -409,28 +428,9 @@ pub fn ladder_tables(names: &[String], l: &LadderDiff) -> Vec<ComparisonTable> {
 /// chart of the end-to-end per-segment deltas, as printed by
 /// `das_experiment blame-diff` with three or more traces.
 pub fn render_ladder(names: &[String], l: &LadderDiff) -> String {
-    let mut out = String::new();
-    for t in ladder_tables(names, l) {
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
-    if let Some(chart) = das_metrics::ascii::diverging_bars(&blame_diff_delta_rows(&l.end_to_end), 30)
-    {
-        out.push_str(&format!(
-            "mean Δ per segment, ms ({} − {}):\n",
-            names[names.len() - 1],
-            names[0]
-        ));
-        out.push_str(&chart);
-    }
-    if let Some(s) = l.end_to_end.dominant_negative_segment() {
-        out.push_str(&format!(
-            "\ndominant end-to-end improvement: {} ({:+.3} ms mean)\n",
-            s.label(),
-            l.end_to_end.mean_delta_secs(s) * 1e3
-        ));
-    }
-    out
+    let dominant = "dominant end-to-end improvement";
+    let chart = delta_chart(&names[0], &names[names.len() - 1], &l.end_to_end, dominant);
+    render_report(ladder_tables(names, l), chart)
 }
 
 /// The cross-scenario summary table of the regression corpus (Table 10):
