@@ -10,7 +10,6 @@
 //! never exceed admission deadlines, and crash windows never overlap.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use das_net::latency::{LatencyConfig, NetworkConfig};
 use das_sim::fault::{CrashWindow, FaultSchedule};
@@ -48,7 +47,7 @@ fn coin(rng: &mut SimRng, p: f64) -> bool {
 /// hostile: few servers, high load, noisy DAS inputs (hint loss, estimate
 /// noise, many coordinators) — the regime where adaptive scheduling can
 /// actually lose to FCFS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     /// Cluster size range.
     pub servers: (u32, u32),
@@ -141,15 +140,6 @@ impl SearchSpace {
         }
     }
 
-    /// `work_per_request_secs` from the cluster's service model — the same
-    /// arithmetic `das_core::load` uses, replicated here because das-chaos
-    /// sits below das-core in the crate graph (the core crate's equivalence
-    /// tests pin the two against each other).
-    fn work_per_request_secs(spec: &WorkloadSpec, cluster: &ClusterConfig) -> f64 {
-        spec.mean_fanout() * cluster.per_op_overhead.as_secs_f64()
-            + spec.mean_request_bytes() / cluster.base_rate_bytes_per_sec
-    }
-
     /// Draws the cluster and workload (arrival rate solved from rho).
     fn draw_workload(&self, rng: &mut SimRng) -> (ClusterConfig, WorkloadSpec, f64) {
         let servers = pick_u32(rng, self.servers);
@@ -195,7 +185,10 @@ impl SearchSpace {
             write_fraction: uniform(rng, 0.0, self.write_fraction_max),
         };
         let rho = uniform(rng, self.rho.0, self.rho.1);
-        let work = Self::work_per_request_secs(&spec, &cluster);
+        let work = spec.work_per_request_secs(
+            cluster.per_op_overhead.as_secs_f64(),
+            cluster.base_rate_bytes_per_sec,
+        );
         let rate = rho * f64::from(cluster.servers) * f64::from(cluster.workers_per_server) / work;
         spec.arrival = ArrivalConfig::Poisson { rate };
         let horizon = uniform(rng, self.horizon_secs.0, self.horizon_secs.1);
@@ -270,7 +263,6 @@ impl SearchSpace {
                 deadline_secs: uniform(rng, 0.005, 0.04),
                 max_attempts: pick_u32(rng, (2, 4)),
                 jitter: uniform(rng, 0.0, 0.5),
-                ..RetryConfig::default()
             }
         } else {
             RetryConfig::default()
@@ -320,7 +312,6 @@ impl SearchSpace {
             batch: if coin(rng, self.overload_prob) {
                 BatchConfig {
                     max_ops: pick_u32(rng, (2, 8)),
-                    tiny_op_bytes: 4096,
                     overhead_fraction: uniform(rng, 0.1, 0.5),
                 }
             } else {

@@ -14,8 +14,7 @@
 //!                       [--faults <faults.json>] [--overload <overload.json>]
 //!                                                  replay a recorded workload
 //! das_experiment chaos [--seed N] [--budget N] [--out <dir>]
-//!                      [--oracles a,b,...] [--space <space.json>]
-//!                      [--shrink-budget N] [--no-shrink]
+//!                      [--oracles a,b,...] [--shrink-budget N] [--no-shrink]
 //!                                                  adversarial fault-schedule search
 //! das_experiment chaos-verify <dir> [--oracles a,b,...]
 //!                                                  replay a reproducer corpus and
@@ -65,7 +64,7 @@
 //! mutates interesting ones near scheduling decisions), replays each under
 //! the FCFS/DAS pair, checks the oracle suite, and delta-debug shrinks
 //! every violation to a minimal reproducer. The run is a pure function of
-//! `(--seed, --budget, --oracles, --space)`: the `chaos_report.json` it
+//! `(--seed, --budget, --oracles)`: the `chaos_report.json` it
 //! writes is byte-identical across invocations. `--out` lays each finding
 //! out as a replayable artifact set (`<slug>.case.json`, `.config.json`,
 //! `.workload.jsonl`, `.faults.json`, `.overload.json`) so
@@ -137,7 +136,7 @@ fn print_usage() {
          das_experiment check <config.json>    (validates the whole config, then checks per-server offered load)\n  \
          das_experiment trace <config.json> <out.jsonl>\n  \
          das_experiment replay <config.json> <workload.jsonl> [--out <dir>] [--trace <base>] [--trace-sample <rate>] [--faults <faults.json>] [--overload <overload.json>]\n  \
-         das_experiment chaos [--seed N] [--budget N] [--out <dir>] [--oracles a,b,...] [--space <space.json>] [--shrink-budget N] [--no-shrink]\n  \
+         das_experiment chaos [--seed N] [--budget N] [--out <dir>] [--oracles a,b,...] [--shrink-budget N] [--no-shrink]\n  \
          das_experiment chaos-verify <dir> [--oracles a,b,...]\n  \
          das_experiment blame-diff <a.jsonl> <b.jsonl> [<c.jsonl> ...] [--ladder n1,n2,...] [--out <summary.json>]\n  \
          das_experiment top <trace.jsonl> [--epoch-ms N] [--workers N]"
@@ -532,13 +531,6 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             "--out" => out_dir = Some(rest.next().ok_or("--out: missing directory")?.clone()),
             "--oracles" => {
                 oracles_spec = Some(rest.next().ok_or("--oracles: missing a,b,...")?.clone());
-            }
-            "--space" => {
-                let path = rest.next().ok_or("--space: missing path")?;
-                let text =
-                    fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-                cfg.space =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
             }
             other => return Err(format!("chaos: unexpected argument `{other}`")),
         }

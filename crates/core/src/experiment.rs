@@ -532,7 +532,7 @@ mod tests {
                 e.policies.clear();
                 e.cluster.servers = 0;
             }),
-            ConfigError::ZeroServers.to_string()
+            "servers must be >= 1, got 0"
         );
     }
 }

@@ -4,16 +4,13 @@
 use das_store::config::ClusterConfig;
 use das_workload::generator::WorkloadSpec;
 
-/// Expected seconds of *server* work one request injects into the cluster:
-/// per-op overheads plus the bytes it reads at the nominal rate.
-///
-/// Per-server coalescing makes the true op count slightly smaller than the
-/// key fan-out; using the fan-out makes this a small over-estimate, i.e.
-/// sweeps land marginally under the target load — the safe direction.
+/// Expected seconds of *server* work one request injects into the cluster
+/// ([`WorkloadSpec::work_per_request_secs`] at its overhead and rate).
 pub fn work_per_request_secs(workload: &WorkloadSpec, cluster: &ClusterConfig) -> f64 {
-    let ops = workload.mean_fanout();
-    let bytes = workload.mean_request_bytes();
-    ops * cluster.per_op_overhead.as_secs_f64() + bytes / cluster.base_rate_bytes_per_sec
+    workload.work_per_request_secs(
+        cluster.per_op_overhead.as_secs_f64(),
+        cluster.base_rate_bytes_per_sec,
+    )
 }
 
 /// The per-server utilization `rho` produced by `rate` requests/second.

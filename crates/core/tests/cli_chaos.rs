@@ -98,9 +98,13 @@ fn chaos_rejects_bad_arguments() {
     let out = das_experiment(&["chaos", "--oracles", "no-such-oracle"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("no-such-oracle"), "{}", stderr(&out));
-    let out = das_experiment(&["chaos", "--frobnicate"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("unexpected argument"), "{}", stderr(&out));
+    // The search space is not an input: the default one is always searched.
+    for flag in ["--frobnicate", "--space"] {
+        let out = das_experiment(&["chaos", flag, "space.json"]);
+        assert!(!out.status.success());
+        let err = stderr(&out);
+        assert!(err.contains("unexpected argument"), "{err}");
+    }
 }
 
 #[test]
@@ -249,25 +253,49 @@ fn run_rejects_a_bad_policy_with_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn a_removed_policy_kind_is_a_parse_error_not_a_panic() {
-    // `rein_ml` (like `edf`, `lrpt_last`, `random`) was a policy kind no
-    // experiment ran; a config still naming it fails at the parser.
-    let dir = scratch("removed-policy");
+fn a_removed_config_variant_is_a_parse_error_not_a_panic() {
+    // A config naming a variant the schema does not have — the `rein_ml`
+    // policy (like `edf`, `lrpt_last`, `random`), the `hash_mod` and
+    // `range` partitioners, `deterministic` arrivals, `uniform` latency —
+    // fails at the parser, before anything runs.
+    let dir = scratch("removed-variant");
     let mut config = das_core::scenarios::base_experiment("removed", 0.5);
     config.policies = vec![das_sched::policy::PolicyKind::Fcfs];
     let json = serde_json::to_string(&config).unwrap();
-    let fcfs = r#"{"kind":"fcfs"}"#;
-    assert!(json.contains(fcfs));
-    let path = dir.join("config.json");
-    let json = json.replace(fcfs, r#"{"kind":"rein_ml","levels":4}"#);
-    std::fs::write(&path, json).unwrap();
-    let out = das_experiment(&["run", path.to_str().unwrap()]);
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains("error: parsing "), "{err}");
-    assert!(err.contains("unknown variant"), "{err}");
-    assert!(err.contains("rein_ml"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
+    for (current, removed) in [
+        (
+            serde_json::to_string(&config.policies[0]).unwrap(),
+            r#"{"kind":"rein_ml","levels":4}"#,
+        ),
+        (
+            serde_json::to_string(&config.cluster.partitioner).unwrap(),
+            r#"{"kind":"hash_mod"}"#,
+        ),
+        (
+            serde_json::to_string(&config.cluster.partitioner).unwrap(),
+            r#"{"kind":"range","n_keys":1000}"#,
+        ),
+        (
+            serde_json::to_string(&config.workload.arrival).unwrap(),
+            r#"{"kind":"deterministic","rate":1000}"#,
+        ),
+        (
+            serde_json::to_string(&config.cluster.network.latency).unwrap(),
+            r#"{"kind":"uniform","min_micros":10,"max_micros":90}"#,
+        ),
+    ] {
+        assert_eq!(json.matches(&current).count(), 1, "{current}");
+        let path = dir.join("config.json");
+        std::fs::write(&path, json.replace(&current, removed)).unwrap();
+        let out = das_experiment(&["run", path.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{removed}: {err}");
+        assert!(err.contains("error: parsing "), "{removed}: {err}");
+        assert!(err.contains("unknown variant"), "{removed}: {err}");
+        let kind = removed.split('"').nth(3).unwrap();
+        assert!(err.contains(kind), "{removed}: {err}");
+        assert!(!err.contains("panicked"), "{removed}: {err}");
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use das_sim::dist::{Deterministic, Lognormal, Sample, Uniform};
+use das_sim::dist::{Deterministic, Lognormal, Sample};
 use das_sim::time::SimDuration;
 
 /// Declarative latency distribution configuration.
@@ -19,13 +19,6 @@ pub enum LatencyConfig {
     Constant {
         /// Delay in microseconds.
         micros: f64,
-    },
-    /// Uniform in `[min_micros, max_micros)`.
-    Uniform {
-        /// Lower bound, microseconds.
-        min_micros: f64,
-        /// Upper bound, microseconds.
-        max_micros: f64,
     },
     /// Lognormal with the given mean and log-space sigma — the standard
     /// datacenter RTT shape (long right tail).
@@ -49,10 +42,6 @@ impl LatencyConfig {
     fn build(&self) -> Box<dyn Sample + Send + Sync> {
         match *self {
             LatencyConfig::Constant { micros } => Box::new(Deterministic::new(micros)),
-            LatencyConfig::Uniform {
-                min_micros,
-                max_micros,
-            } => Box::new(Uniform::new(min_micros, max_micros)),
             LatencyConfig::Lognormal { mean_micros, sigma } => {
                 Box::new(Lognormal::with_mean(mean_micros, sigma))
             }
@@ -63,10 +52,6 @@ impl LatencyConfig {
     pub fn mean_secs(&self) -> f64 {
         match *self {
             LatencyConfig::Constant { micros } => micros * 1e-6,
-            LatencyConfig::Uniform {
-                min_micros,
-                max_micros,
-            } => 0.5 * (min_micros + max_micros) * 1e-6,
             LatencyConfig::Lognormal { mean_micros, .. } => mean_micros * 1e-6,
         }
     }
@@ -111,15 +96,6 @@ impl NetworkConfig {
         let latency = match self.latency {
             LatencyConfig::Constant { micros } if !non_negative(micros) => {
                 Some("latency micros must be finite and >= 0")
-            }
-            LatencyConfig::Uniform {
-                min_micros,
-                max_micros,
-            } if !(non_negative(min_micros)
-                && max_micros.is_finite()
-                && min_micros <= max_micros) =>
-            {
-                Some("latency needs 0 <= min_micros <= max_micros, both finite")
             }
             LatencyConfig::Lognormal { mean_micros, .. } if !positive(mean_micros) => {
                 Some("latency mean_micros must be finite and positive")
@@ -238,11 +214,6 @@ mod tests {
     #[test]
     fn mean_secs_matches_config() {
         assert!((LatencyConfig::Constant { micros: 10.0 }.mean_secs() - 10e-6).abs() < 1e-12);
-        let uni = LatencyConfig::Uniform {
-            min_micros: 0.0,
-            max_micros: 20.0,
-        };
-        assert!((uni.mean_secs() - 10e-6).abs() < 1e-12);
         assert!((LatencyConfig::datacenter_default().mean_secs() - 50e-6).abs() < 1e-12);
     }
 
@@ -254,16 +225,9 @@ mod tests {
         assert_eq!(NetworkConfig::default().first_invalid(), None);
         assert_eq!(NetworkConfig::ideal().first_invalid(), None);
         let lognormal = |mean_micros, sigma| LatencyConfig::Lognormal { mean_micros, sigma };
-        let uniform = |min_micros, max_micros| LatencyConfig::Uniform {
-            min_micros,
-            max_micros,
-        };
         for latency in [
             LatencyConfig::Constant { micros: -1.0 },
             LatencyConfig::Constant { micros: f64::NAN },
-            uniform(-1.0, 5.0),
-            uniform(5.0, 2.0),
-            uniform(1.0, f64::INFINITY),
             lognormal(-50.0, 0.4),
             lognormal(0.0, 0.4),
             lognormal(50.0, -1.0),

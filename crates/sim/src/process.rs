@@ -1,6 +1,5 @@
-//! Arrival processes: Poisson, deterministic, Markov-modulated (MMPP),
-//! on-off bursts, and piecewise-constant rate schedules for time-varying
-//! load experiments.
+//! Arrival processes: Poisson, Markov-modulated (MMPP), and
+//! piecewise-constant rate schedules for time-varying load experiments.
 
 use rand::RngCore;
 
@@ -39,35 +38,6 @@ impl ArrivalProcess for PoissonProcess {
     }
     fn average_rate(&self) -> Option<f64> {
         Some(self.exp.rate())
-    }
-}
-
-/// Deterministic arrivals at fixed intervals.
-#[derive(Debug, Clone, Copy)]
-pub struct DeterministicProcess {
-    interval: SimDuration,
-}
-
-impl DeterministicProcess {
-    /// Arrivals every `interval`; must be non-zero.
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "interval must be non-zero");
-        DeterministicProcess { interval }
-    }
-
-    /// Arrivals at `rate > 0` per second, evenly spaced.
-    pub fn with_rate(rate: f64) -> Self {
-        assert!(rate > 0.0);
-        Self::new(SimDuration::from_secs_f64(1.0 / rate))
-    }
-}
-
-impl ArrivalProcess for DeterministicProcess {
-    fn next_arrival(&mut self, now: SimTime, _rng: &mut dyn RngCore) -> Option<SimTime> {
-        now.checked_add(self.interval)
-    }
-    fn average_rate(&self) -> Option<f64> {
-        Some(1.0 / self.interval.as_secs_f64())
     }
 }
 
@@ -268,16 +238,6 @@ mod tests {
         let rate = n as f64 / 20.0;
         assert!((rate - 1000.0).abs() / 1000.0 < 0.05, "rate = {rate}");
         assert_eq!(p.average_rate(), Some(1000.0));
-    }
-
-    #[test]
-    fn deterministic_is_evenly_spaced() {
-        let mut p = DeterministicProcess::with_rate(100.0);
-        let mut rng = SeedFactory::new(1).stream("det", 0);
-        let t1 = p.next_arrival(SimTime::ZERO, &mut rng).unwrap();
-        let t2 = p.next_arrival(t1, &mut rng).unwrap();
-        assert_eq!(t2 - t1, SimDuration::from_millis(10));
-        assert_eq!(count_arrivals(&mut p, 1, "det"), 100);
     }
 
     #[test]

@@ -15,29 +15,19 @@ fn default_coordinators() -> u32 {
     1
 }
 
-/// A structured validation failure. Every invariant the configuration can
-/// break has its own variant, so callers can match on the cause instead of
+/// A structured validation failure: either one numeric knob outside its
+/// range ([`ConfigError::OutOfRange`]) or an invariant between knobs, each
+/// with its own variant, so callers can match on the cause instead of
 /// scraping strings.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// `servers` was zero.
-    ZeroServers,
-    /// `workers_per_server` was zero.
-    ZeroWorkers,
-    /// `base_rate_bytes_per_sec` was not finite and positive.
-    NonPositiveBaseRate,
-    /// `replication` was zero.
-    ZeroReplication,
-    /// `coordinators` was zero.
-    ZeroCoordinators,
-    /// `hint_loss` fell outside `[0, 1]`.
-    HintLossOutOfRange {
-        /// The offending value.
-        value: f64,
-    },
-    /// `estimate_noise` was negative or non-finite.
-    NegativeEstimateNoise {
+    /// One numeric knob fell outside its valid range.
+    OutOfRange {
+        /// Which knob (e.g. `"servers"`, `"retry jitter"`).
+        knob: &'static str,
+        /// The range it must lie in (e.g. `">= 1"`, `"in [0, 1]"`).
+        want: &'static str,
         /// The offending value.
         value: f64,
     },
@@ -45,11 +35,6 @@ pub enum ConfigError {
     PerfEventUnknownServer {
         /// The offending server index.
         server: u32,
-    },
-    /// A perf event's multiplier was not finite and positive.
-    PerfEventNonPositiveMultiplier {
-        /// The offending multiplier.
-        multiplier: f64,
     },
     /// A perf event ended before it started.
     PerfEventEndsBeforeStart {
@@ -66,22 +51,12 @@ pub enum ConfigError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// `horizon_secs` was not finite and positive.
-    NonPositiveHorizon {
-        /// The offending value.
-        value: f64,
-    },
     /// `warmup_secs` fell outside `[0, horizon)`.
     WarmupOutsideHorizon {
         /// The configured warmup.
         warmup_secs: f64,
         /// The configured horizon.
         horizon_secs: f64,
-    },
-    /// `rct_timeseries_bin_secs` was set but not finite and positive.
-    NonPositiveTimeseriesBin {
-        /// The offending value.
-        value: f64,
     },
     /// A crash window was malformed (unknown server, negative start, or
     /// recovery at or before the crash instant).
@@ -107,76 +82,6 @@ pub enum ConfigError {
     /// Message loss was configured without retries: a lost op would hang
     /// its request forever.
     LossWithoutRetry,
-    /// The per-op deadline was negative or non-finite.
-    InvalidDeadline {
-        /// The offending value.
-        value: f64,
-    },
-    /// Retries were enabled with a zero attempt budget.
-    ZeroRetryAttempts,
-    /// The retry backoff base was not finite and positive.
-    NonPositiveBackoffBase {
-        /// The offending value.
-        value: f64,
-    },
-    /// The retry backoff multiplier was below one.
-    BackoffMultiplierBelowOne {
-        /// The offending value.
-        value: f64,
-    },
-    /// The retry jitter fraction fell outside `[0, 1]`.
-    JitterOutOfRange {
-        /// The offending value.
-        value: f64,
-    },
-    /// The hedge quantile fell outside `(0, 1)`.
-    HedgeQuantileOutOfRange {
-        /// The offending value.
-        value: f64,
-    },
-    /// The hedge delay floor was negative or non-finite.
-    NegativeHedgeDelayFloor {
-        /// The offending value.
-        value: f64,
-    },
-    /// The hedge warmup sample count was too small for the streaming
-    /// quantile estimator.
-    HedgeMinSamplesTooSmall {
-        /// The offending value.
-        value: u64,
-    },
-    /// The trace sampling rate fell outside `(0, 1]`.
-    TraceSampleOutOfRange {
-        /// The offending value.
-        value: f64,
-    },
-    /// Tracing was enabled with a zero-capacity ring buffer.
-    ZeroTraceCapacity,
-    /// The admission deadline was negative or non-finite.
-    InvalidAdmissionDeadline {
-        /// The offending value.
-        value: f64,
-    },
-    /// Admission was enabled with a zero-capacity server queue: every op
-    /// would be shed on arrival and no request could ever complete.
-    ZeroQueueCapacity,
-    /// The admission write penalty was below one (writes may never be
-    /// *cheaper* to admit than the bytes they carry).
-    WritePenaltyBelowOne {
-        /// The offending value.
-        value: f64,
-    },
-    /// The backpressure token rate was negative or non-finite.
-    InvalidTokenRate {
-        /// The offending value.
-        value: f64,
-    },
-    /// The backpressure token burst was below one: no retry or hedge could
-    /// ever be granted.
-    TokenBurstBelowOne {
-        /// The offending value.
-        value: f64,
-    },
     /// The per-attempt retry budget exceeds the request admission deadline:
     /// every retried attempt would outlive the request it serves.
     BudgetExceedsDeadline {
@@ -184,11 +89,6 @@ pub enum ConfigError {
         budget_secs: f64,
         /// The request admission deadline, seconds.
         deadline_secs: f64,
-    },
-    /// The batch-coalescing bounds were inconsistent.
-    BatchBoundsInconsistent {
-        /// What was wrong.
-        reason: &'static str,
     },
     /// A scheduling-policy knob was out of range.
     PolicyInvalid {
@@ -200,43 +100,23 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroServers => write!(f, "servers must be >= 1"),
-            ConfigError::ZeroWorkers => write!(f, "workers_per_server must be >= 1"),
-            ConfigError::NonPositiveBaseRate => {
-                write!(f, "base_rate_bytes_per_sec must be positive")
-            }
-            ConfigError::ZeroReplication => write!(f, "replication must be >= 1"),
-            ConfigError::ZeroCoordinators => write!(f, "coordinators must be >= 1"),
-            ConfigError::HintLossOutOfRange { value } => {
-                write!(f, "hint_loss must be in [0, 1], got {value}")
-            }
-            ConfigError::NegativeEstimateNoise { value } => {
-                write!(f, "estimate_noise must be >= 0, got {value}")
+            ConfigError::OutOfRange { knob, want, value } => {
+                write!(f, "{knob} must be {want}, got {value}")
             }
             ConfigError::PerfEventUnknownServer { server } => {
                 write!(f, "perf event for nonexistent server {server}")
-            }
-            ConfigError::PerfEventNonPositiveMultiplier { multiplier } => {
-                write!(f, "perf multiplier must be positive, got {multiplier}")
             }
             ConfigError::PerfEventEndsBeforeStart { server } => {
                 write!(f, "perf event for server {server} ends before it starts")
             }
             ConfigError::NetworkInvalid { reason } => write!(f, "network: {reason}"),
             ConfigError::PartitionerInvalid { reason } => write!(f, "partitioner: {reason}"),
-            ConfigError::NonPositiveHorizon { value } => {
-                write!(f, "horizon must be positive, got {value}")
-            }
             ConfigError::WarmupOutsideHorizon {
                 warmup_secs,
                 horizon_secs,
             } => write!(
                 f,
                 "warmup must be in [0, horizon): {warmup_secs} vs horizon {horizon_secs}"
-            ),
-            ConfigError::NonPositiveTimeseriesBin { value } => write!(
-                f,
-                "rct_timeseries_bin_secs must be finite and positive, got {value}"
             ),
             ConfigError::CrashWindowInvalid { server } => {
                 write!(f, "malformed crash window for server {server}")
@@ -252,69 +132,6 @@ impl std::fmt::Display for ConfigError {
                 "message loss requires retries (a lost op would hang its request): \
                  set faults.retry.deadline_secs > 0"
             ),
-            ConfigError::InvalidDeadline { value } => {
-                write!(
-                    f,
-                    "retry deadline_secs must be finite and >= 0, got {value}"
-                )
-            }
-            ConfigError::ZeroRetryAttempts => {
-                write!(
-                    f,
-                    "retry max_attempts must be >= 1 when retries are enabled"
-                )
-            }
-            ConfigError::NonPositiveBackoffBase { value } => {
-                write!(f, "retry backoff_base_secs must be positive, got {value}")
-            }
-            ConfigError::BackoffMultiplierBelowOne { value } => {
-                write!(f, "retry backoff_multiplier must be >= 1, got {value}")
-            }
-            ConfigError::JitterOutOfRange { value } => {
-                write!(f, "retry jitter must be in [0, 1], got {value}")
-            }
-            ConfigError::HedgeQuantileOutOfRange { value } => {
-                write!(f, "hedge quantile must be in (0, 1), got {value}")
-            }
-            ConfigError::NegativeHedgeDelayFloor { value } => {
-                write!(
-                    f,
-                    "hedge min_delay_secs must be finite and >= 0, got {value}"
-                )
-            }
-            ConfigError::HedgeMinSamplesTooSmall { value } => {
-                write!(f, "hedge min_samples must be >= 5, got {value}")
-            }
-            ConfigError::TraceSampleOutOfRange { value } => {
-                write!(f, "trace sample must be in (0, 1], got {value}")
-            }
-            ConfigError::ZeroTraceCapacity => {
-                write!(f, "trace capacity must be >= 1 when tracing is enabled")
-            }
-            ConfigError::InvalidAdmissionDeadline { value } => {
-                write!(
-                    f,
-                    "admission deadline_secs must be finite and >= 0, got {value}"
-                )
-            }
-            ConfigError::ZeroQueueCapacity => {
-                write!(
-                    f,
-                    "admission queue_capacity must be >= 1 when admission is enabled"
-                )
-            }
-            ConfigError::WritePenaltyBelowOne { value } => {
-                write!(f, "admission write_penalty must be >= 1, got {value}")
-            }
-            ConfigError::InvalidTokenRate { value } => {
-                write!(
-                    f,
-                    "backpressure tokens_per_sec must be finite and >= 0, got {value}"
-                )
-            }
-            ConfigError::TokenBurstBelowOne { value } => {
-                write!(f, "backpressure burst must be >= 1, got {value}")
-            }
             ConfigError::BudgetExceedsDeadline {
                 budget_secs,
                 deadline_secs,
@@ -323,15 +140,47 @@ impl std::fmt::Display for ConfigError {
                 "retry deadline_secs {budget_secs} exceeds the admission deadline \
                  {deadline_secs}: every retried attempt would outlive its request"
             ),
-            ConfigError::BatchBoundsInconsistent { reason } => {
-                write!(f, "batch coalescing bounds: {reason}")
-            }
             ConfigError::PolicyInvalid { reason } => write!(f, "policy: {reason}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
+
+/// `Ok` when `ok` holds, else [`ConfigError::OutOfRange`] naming the knob.
+fn check(ok: bool, knob: &'static str, want: &'static str, value: f64) -> Result<(), ConfigError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ConfigError::OutOfRange { knob, want, value })
+    }
+}
+
+fn at_least_one(knob: &'static str, value: u64) -> Result<(), ConfigError> {
+    check(value >= 1, knob, ">= 1", value as f64)
+}
+
+fn positive(knob: &'static str, value: f64) -> Result<(), ConfigError> {
+    check(
+        value.is_finite() && value > 0.0,
+        knob,
+        "finite and positive",
+        value,
+    )
+}
+
+fn non_negative(knob: &'static str, value: f64) -> Result<(), ConfigError> {
+    check(
+        value.is_finite() && value >= 0.0,
+        knob,
+        "finite and >= 0",
+        value,
+    )
+}
+
+fn probability(knob: &'static str, value: f64) -> Result<(), ConfigError> {
+    check((0.0..=1.0).contains(&value), knob, "in [0, 1]", value)
+}
 
 /// A scheduled change to one server's performance — the substrate for the
 /// time-varying-server-performance experiments (Fig. 12) and, with
@@ -364,14 +213,6 @@ fn default_retry_attempts() -> u32 {
     3
 }
 
-fn default_backoff_base() -> f64 {
-    5e-4
-}
-
-fn default_backoff_multiplier() -> f64 {
-    2.0
-}
-
 /// Per-op timeout and retry policy at the coordinator.
 ///
 /// Disabled by default (`deadline_secs == 0`): no timeout events are ever
@@ -385,12 +226,6 @@ pub struct RetryConfig {
     /// Total attempts per op, including the first (>= 1 when enabled).
     #[serde(default = "default_retry_attempts")]
     pub max_attempts: u32,
-    /// Backoff before the second attempt, seconds.
-    #[serde(default = "default_backoff_base")]
-    pub backoff_base_secs: f64,
-    /// Backoff growth factor per further attempt (exponential backoff).
-    #[serde(default = "default_backoff_multiplier")]
-    pub backoff_multiplier: f64,
     /// Jitter fraction in `[0, 1]`: each backoff is scaled by
     /// `1 + jitter * U(0, 1)` to decorrelate retry storms.
     #[serde(default)]
@@ -402,8 +237,6 @@ impl Default for RetryConfig {
         RetryConfig {
             deadline_secs: 0.0,
             max_attempts: default_retry_attempts(),
-            backoff_base_secs: default_backoff_base(),
-            backoff_multiplier: default_backoff_multiplier(),
             jitter: 0.0,
         }
     }
@@ -416,10 +249,10 @@ impl RetryConfig {
     }
 
     /// The backoff before attempt `attempt` (2-based: the first retry is
-    /// attempt 2), without jitter.
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
+    /// attempt 2), without jitter: 0.5 ms, doubling per further attempt.
+    pub fn backoff_secs(attempt: u32) -> f64 {
         let exp = attempt.saturating_sub(2);
-        self.backoff_base_secs * self.backoff_multiplier.powi(exp as i32)
+        5e-4 * 2f64.powi(exp as i32)
     }
 }
 
@@ -525,44 +358,26 @@ impl FaultProfile {
             });
         }
         let r = &self.retry;
-        if !(r.deadline_secs.is_finite() && r.deadline_secs >= 0.0) {
-            return Err(ConfigError::InvalidDeadline {
-                value: r.deadline_secs,
-            });
-        }
+        non_negative("retry deadline_secs", r.deadline_secs)?;
         if r.enabled() {
-            if r.max_attempts == 0 {
-                return Err(ConfigError::ZeroRetryAttempts);
-            }
-            if !(r.backoff_base_secs.is_finite() && r.backoff_base_secs > 0.0) {
-                return Err(ConfigError::NonPositiveBackoffBase {
-                    value: r.backoff_base_secs,
-                });
-            }
-            if !(r.backoff_multiplier.is_finite() && r.backoff_multiplier >= 1.0) {
-                return Err(ConfigError::BackoffMultiplierBelowOne {
-                    value: r.backoff_multiplier,
-                });
-            }
-            if !(0.0..=1.0).contains(&r.jitter) {
-                return Err(ConfigError::JitterOutOfRange { value: r.jitter });
-            }
+            at_least_one("retry max_attempts", r.max_attempts.into())?;
+            probability("retry jitter", r.jitter)?;
         }
         let h = &self.hedge;
         if h.enabled() {
-            if !(h.quantile > 0.0 && h.quantile < 1.0) {
-                return Err(ConfigError::HedgeQuantileOutOfRange { value: h.quantile });
-            }
-            if !(h.min_delay_secs.is_finite() && h.min_delay_secs >= 0.0) {
-                return Err(ConfigError::NegativeHedgeDelayFloor {
-                    value: h.min_delay_secs,
-                });
-            }
-            if h.min_samples < 5 {
-                return Err(ConfigError::HedgeMinSamplesTooSmall {
-                    value: h.min_samples,
-                });
-            }
+            check(
+                h.quantile > 0.0 && h.quantile < 1.0,
+                "hedge quantile",
+                "in (0, 1)",
+                h.quantile,
+            )?;
+            non_negative("hedge min_delay_secs", h.min_delay_secs)?;
+            check(
+                h.min_samples >= 5,
+                "hedge min_samples",
+                ">= 5",
+                h.min_samples as f64,
+            )?;
         }
         let lossy = self.request_faults.loss > 0.0 || self.response_faults.loss > 0.0;
         if lossy && !r.enabled() {
@@ -658,17 +473,14 @@ impl BackpressureConfig {
     }
 }
 
-fn default_tiny_op_bytes() -> u64 {
-    4096
-}
-
 fn default_batch_overhead_fraction() -> f64 {
     0.2
 }
 
 /// Value-size-aware batch coalescing: when a worker frees up, tiny queued
-/// ops are coalesced into one server visit, amortizing the fixed per-op
-/// overhead across the batch.
+/// ops (at most [`BatchConfig::TINY_OP_BYTES`] service bytes) are coalesced
+/// into one server visit, amortizing the fixed per-op overhead across the
+/// batch.
 ///
 /// Disabled by default (`max_ops <= 1`): every op is its own server visit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -677,10 +489,6 @@ pub struct BatchConfig {
     /// disables batching.
     #[serde(default)]
     pub max_ops: u32,
-    /// Only ops of at most this many service bytes are batchable
-    /// (> 0 when batching is enabled).
-    #[serde(default = "default_tiny_op_bytes")]
-    pub tiny_op_bytes: u64,
     /// Fraction of the fixed per-op overhead each batch *follower* still
     /// pays, in `(0, 1]`. Strictly positive so follower completions keep
     /// strictly increasing timestamps (the engine's completion identity).
@@ -692,13 +500,15 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_ops: 0,
-            tiny_op_bytes: default_tiny_op_bytes(),
             overhead_fraction: default_batch_overhead_fraction(),
         }
     }
 }
 
 impl BatchConfig {
+    /// Only ops of at most this many service bytes are batchable.
+    pub const TINY_OP_BYTES: u64 = 4096;
+
     /// True when batch coalescing is in effect.
     pub fn enabled(&self) -> bool {
         self.max_ops > 1
@@ -738,20 +548,15 @@ impl OverloadProfile {
     /// retry budget can never exceed the request admission deadline.
     pub fn validate(&self, retry_deadline_secs: f64) -> Result<(), ConfigError> {
         let a = &self.admission;
-        if !(a.deadline_secs.is_finite() && a.deadline_secs >= 0.0) {
-            return Err(ConfigError::InvalidAdmissionDeadline {
-                value: a.deadline_secs,
-            });
-        }
+        non_negative("admission deadline_secs", a.deadline_secs)?;
         if a.enabled() {
-            if a.queue_capacity == 0 {
-                return Err(ConfigError::ZeroQueueCapacity);
-            }
-            if !(a.write_penalty.is_finite() && a.write_penalty >= 1.0) {
-                return Err(ConfigError::WritePenaltyBelowOne {
-                    value: a.write_penalty,
-                });
-            }
+            at_least_one("admission queue_capacity", a.queue_capacity.into())?;
+            check(
+                a.write_penalty.is_finite() && a.write_penalty >= 1.0,
+                "admission write_penalty",
+                "finite and >= 1",
+                a.write_penalty,
+            )?;
             if retry_deadline_secs > a.deadline_secs {
                 return Err(ConfigError::BudgetExceedsDeadline {
                     budget_secs: retry_deadline_secs,
@@ -760,29 +565,23 @@ impl OverloadProfile {
             }
         }
         let b = &self.backpressure;
-        if !(b.tokens_per_sec.is_finite() && b.tokens_per_sec >= 0.0) {
-            return Err(ConfigError::InvalidTokenRate {
-                value: b.tokens_per_sec,
-            });
-        }
-        if b.enabled() && !(b.burst.is_finite() && b.burst >= 1.0) {
-            return Err(ConfigError::TokenBurstBelowOne { value: b.burst });
+        non_negative("backpressure tokens_per_sec", b.tokens_per_sec)?;
+        if b.enabled() {
+            check(
+                b.burst.is_finite() && b.burst >= 1.0,
+                "backpressure burst",
+                "finite and >= 1",
+                b.burst,
+            )?;
         }
         let c = &self.batch;
         if c.enabled() {
-            if c.tiny_op_bytes == 0 {
-                return Err(ConfigError::BatchBoundsInconsistent {
-                    reason: "tiny_op_bytes must be >= 1 when batching is enabled",
-                });
-            }
-            if !(c.overhead_fraction.is_finite()
-                && c.overhead_fraction > 0.0
-                && c.overhead_fraction <= 1.0)
-            {
-                return Err(ConfigError::BatchBoundsInconsistent {
-                    reason: "overhead_fraction must be in (0, 1]",
-                });
-            }
+            check(
+                c.overhead_fraction > 0.0 && c.overhead_fraction <= 1.0,
+                "batch overhead_fraction",
+                "in (0, 1]",
+                c.overhead_fraction,
+            )?;
         }
         Ok(())
     }
@@ -855,31 +654,13 @@ impl ClusterConfig {
 
     /// Validates invariants, returning the first problem found.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.servers == 0 {
-            return Err(ConfigError::ZeroServers);
-        }
-        if self.workers_per_server == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if !(self.base_rate_bytes_per_sec.is_finite() && self.base_rate_bytes_per_sec > 0.0) {
-            return Err(ConfigError::NonPositiveBaseRate);
-        }
-        if self.replication == 0 {
-            return Err(ConfigError::ZeroReplication);
-        }
-        if self.coordinators == 0 {
-            return Err(ConfigError::ZeroCoordinators);
-        }
-        if !(0.0..=1.0).contains(&self.hint_loss) {
-            return Err(ConfigError::HintLossOutOfRange {
-                value: self.hint_loss,
-            });
-        }
-        if !(self.estimate_noise.is_finite() && self.estimate_noise >= 0.0) {
-            return Err(ConfigError::NegativeEstimateNoise {
-                value: self.estimate_noise,
-            });
-        }
+        at_least_one("servers", self.servers.into())?;
+        at_least_one("workers_per_server", self.workers_per_server.into())?;
+        positive("base_rate_bytes_per_sec", self.base_rate_bytes_per_sec)?;
+        at_least_one("replication", self.replication.into())?;
+        at_least_one("coordinators", self.coordinators.into())?;
+        probability("hint_loss", self.hint_loss)?;
+        non_negative("estimate_noise", self.estimate_noise)?;
         if let Some(reason) = self.network.first_invalid() {
             return Err(ConfigError::NetworkInvalid { reason });
         }
@@ -890,11 +671,7 @@ impl ClusterConfig {
             if e.server >= self.servers {
                 return Err(ConfigError::PerfEventUnknownServer { server: e.server });
             }
-            if !(e.multiplier.is_finite() && e.multiplier > 0.0) {
-                return Err(ConfigError::PerfEventNonPositiveMultiplier {
-                    multiplier: e.multiplier,
-                });
-            }
+            positive("perf multiplier", e.multiplier)?;
             if e.end_secs < e.start_secs {
                 return Err(ConfigError::PerfEventEndsBeforeStart { server: e.server });
             }
@@ -956,11 +733,7 @@ impl SimulationConfig {
             .map_err(|reason| ConfigError::PolicyInvalid { reason })?;
         self.faults.validate(self.cluster.servers)?;
         self.overload.validate(self.faults.retry.deadline_secs)?;
-        if !(self.horizon_secs.is_finite() && self.horizon_secs > 0.0) {
-            return Err(ConfigError::NonPositiveHorizon {
-                value: self.horizon_secs,
-            });
-        }
+        positive("horizon_secs", self.horizon_secs)?;
         if self.warmup_secs < 0.0 || self.warmup_secs >= self.horizon_secs {
             return Err(ConfigError::WarmupOutsideHorizon {
                 warmup_secs: self.warmup_secs,
@@ -968,22 +741,17 @@ impl SimulationConfig {
             });
         }
         if let Some(value) = self.rct_timeseries_bin_secs {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(ConfigError::NonPositiveTimeseriesBin { value });
-            }
+            positive("rct_timeseries_bin_secs", value)?;
         }
-        if self.trace.enabled {
-            if !(self.trace.sample.is_finite()
-                && self.trace.sample > 0.0
-                && self.trace.sample <= 1.0)
-            {
-                return Err(ConfigError::TraceSampleOutOfRange {
-                    value: self.trace.sample,
-                });
-            }
-            if self.trace.capacity == 0 {
-                return Err(ConfigError::ZeroTraceCapacity);
-            }
+        let t = &self.trace;
+        if t.enabled {
+            check(
+                t.sample > 0.0 && t.sample <= 1.0,
+                "trace sample",
+                "in (0, 1]",
+                t.sample,
+            )?;
+            at_least_one("trace capacity", t.capacity as u64)?;
         }
         Ok(())
     }
@@ -993,6 +761,14 @@ impl SimulationConfig {
 mod tests {
     use super::*;
     use das_sim::fault::CrashWindow;
+
+    /// The knob an [`ConfigError::OutOfRange`] result names.
+    fn knob(result: Result<(), ConfigError>) -> &'static str {
+        match result {
+            Err(ConfigError::OutOfRange { knob, .. }) => knob,
+            other => panic!("expected an out-of-range knob, got {other:?}"),
+        }
+    }
 
     #[test]
     fn default_is_valid() {
@@ -1084,7 +860,14 @@ mod tests {
             servers: 0,
             ..Default::default()
         };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroServers));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::OutOfRange {
+                knob: "servers",
+                want: ">= 1",
+                value: 0.0
+            })
+        );
 
         let mut c = ClusterConfig::default();
         c.perf_events.push(PerfEvent {
@@ -1123,10 +906,6 @@ mod tests {
                     s.cluster.partitioner = PartitionerConfig::ConsistentHash { vnodes: 0 }
                 }) as &dyn Fn(&mut SimulationConfig),
                 "partitioner: consistent_hash needs at least one vnode per server",
-            ),
-            (
-                &|s| s.cluster.partitioner = PartitionerConfig::Range { n_keys: 0 },
-                "partitioner: range needs n_keys >= 1",
             ),
             (
                 &|s| {
@@ -1169,8 +948,12 @@ mod tests {
 
     #[test]
     fn config_error_implements_error() {
-        let err: Box<dyn std::error::Error> = Box::new(ConfigError::ZeroServers);
-        assert!(err.to_string().contains("servers"));
+        let err: Box<dyn std::error::Error> = Box::new(ConfigError::OutOfRange {
+            knob: "servers",
+            want: ">= 1",
+            value: 0.0,
+        });
+        assert_eq!(err.to_string(), "servers must be >= 1, got 0");
     }
 
     #[test]
@@ -1226,19 +1009,16 @@ mod tests {
         let mut s = SimulationConfig::new(PolicyKind::Fcfs, 5.0);
         s.trace = TraceConfig::enabled();
         assert_eq!(s.validate(), Ok(()));
-        s.trace.sample = 0.0;
-        assert!(matches!(
-            s.validate(),
-            Err(ConfigError::TraceSampleOutOfRange { .. })
-        ));
-        s.trace.sample = 1.5;
-        assert!(matches!(
-            s.validate(),
-            Err(ConfigError::TraceSampleOutOfRange { .. })
-        ));
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            s.trace.sample = bad;
+            assert_eq!(knob(s.validate()), "trace sample", "{bad}");
+        }
         s.trace.sample = 0.5;
         s.trace.capacity = 0;
-        assert_eq!(s.validate(), Err(ConfigError::ZeroTraceCapacity));
+        assert_eq!(
+            s.validate().unwrap_err().to_string(),
+            "trace capacity must be >= 1, got 0"
+        );
         // Disabled tracing skips the knob checks entirely.
         s.trace.enabled = false;
         assert_eq!(s.validate(), Ok(()));
@@ -1285,39 +1065,24 @@ mod tests {
 
         // Bad retry knobs.
         p.retry.max_attempts = 0;
-        assert_eq!(p.validate(4), Err(ConfigError::ZeroRetryAttempts));
+        assert_eq!(knob(p.validate(4)), "retry max_attempts");
         p.retry.max_attempts = 3;
-        p.retry.backoff_base_secs = 0.0;
-        assert!(matches!(
-            p.validate(4),
-            Err(ConfigError::NonPositiveBackoffBase { .. })
-        ));
-        p.retry.backoff_base_secs = 1e-3;
-        p.retry.backoff_multiplier = 0.5;
-        assert!(matches!(
-            p.validate(4),
-            Err(ConfigError::BackoffMultiplierBelowOne { .. })
-        ));
-        p.retry.backoff_multiplier = 2.0;
         p.retry.jitter = 1.5;
-        assert!(matches!(
-            p.validate(4),
-            Err(ConfigError::JitterOutOfRange { .. })
-        ));
+        assert_eq!(knob(p.validate(4)), "retry jitter");
         p.retry.jitter = 0.3;
 
         // Bad hedge knobs.
         p.hedge.quantile = 1.0;
-        assert!(matches!(
-            p.validate(4),
-            Err(ConfigError::HedgeQuantileOutOfRange { .. })
-        ));
+        assert_eq!(knob(p.validate(4)), "hedge quantile");
         p.hedge.quantile = 0.95;
+        p.hedge.min_delay_secs = -1.0;
+        assert_eq!(knob(p.validate(4)), "hedge min_delay_secs");
+        p.hedge.min_delay_secs = 5e-4;
         p.hedge.min_samples = 2;
-        assert!(matches!(
-            p.validate(4),
-            Err(ConfigError::HedgeMinSamplesTooSmall { .. })
-        ));
+        assert_eq!(
+            p.validate(4).unwrap_err().to_string(),
+            "hedge min_samples must be >= 5, got 2"
+        );
         p.hedge.min_samples = 100;
         assert_eq!(p.validate(4), Ok(()));
     }
@@ -1433,20 +1198,14 @@ mod tests {
 
         // Bad admission knobs.
         p.admission.deadline_secs = f64::NAN;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::InvalidAdmissionDeadline { .. })
-        ));
+        assert_eq!(knob(p.validate(0.0)), "admission deadline_secs");
         p.admission.deadline_secs = 0.05;
         assert!(p.is_active());
         p.admission.queue_capacity = 0;
-        assert_eq!(p.validate(0.0), Err(ConfigError::ZeroQueueCapacity));
+        assert_eq!(knob(p.validate(0.0)), "admission queue_capacity");
         p.admission.queue_capacity = 64;
         p.admission.write_penalty = 0.5;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::WritePenaltyBelowOne { .. })
-        ));
+        assert_eq!(knob(p.validate(0.0)), "admission write_penalty");
         p.admission.write_penalty = 2.0;
         assert_eq!(p.validate(0.0), Ok(()));
 
@@ -1460,39 +1219,21 @@ mod tests {
 
         // Bad backpressure knobs.
         p.backpressure.tokens_per_sec = -1.0;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::InvalidTokenRate { .. })
-        ));
+        assert_eq!(knob(p.validate(0.0)), "backpressure tokens_per_sec");
         p.backpressure.tokens_per_sec = 100.0;
         p.backpressure.burst = 0.0;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::TokenBurstBelowOne { .. })
-        ));
+        assert_eq!(knob(p.validate(0.0)), "backpressure burst");
         p.backpressure.burst = 8.0;
         assert_eq!(p.validate(0.0), Ok(()));
 
-        // Inconsistent batch bounds.
+        // Batch overhead fraction outside (0, 1].
         p.batch.max_ops = 1;
         assert!(!p.batch.enabled());
         p.batch.max_ops = 8;
-        p.batch.tiny_op_bytes = 0;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::BatchBoundsInconsistent { .. })
-        ));
-        p.batch.tiny_op_bytes = 4096;
-        p.batch.overhead_fraction = 0.0;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::BatchBoundsInconsistent { .. })
-        ));
-        p.batch.overhead_fraction = 1.5;
-        assert!(matches!(
-            p.validate(0.0),
-            Err(ConfigError::BatchBoundsInconsistent { .. })
-        ));
+        for bad in [0.0, 1.5, f64::NAN] {
+            p.batch.overhead_fraction = bad;
+            assert_eq!(knob(p.validate(0.0)), "batch overhead_fraction", "{bad}");
+        }
         p.batch.overhead_fraction = 0.25;
         assert_eq!(p.validate(0.0), Ok(()));
     }
@@ -1512,16 +1253,32 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_exponential() {
-        let r = RetryConfig {
-            deadline_secs: 0.01,
-            max_attempts: 4,
-            backoff_base_secs: 1e-3,
-            backoff_multiplier: 2.0,
-            jitter: 0.0,
-        };
-        assert!(r.enabled());
-        assert!((r.backoff_secs(2) - 1e-3).abs() < 1e-15);
-        assert!((r.backoff_secs(3) - 2e-3).abs() < 1e-15);
-        assert!((r.backoff_secs(4) - 4e-3).abs() < 1e-15);
+        assert!((RetryConfig::backoff_secs(2) - 5e-4).abs() < 1e-15);
+        assert!((RetryConfig::backoff_secs(3) - 1e-3).abs() < 1e-15);
+        assert!((RetryConfig::backoff_secs(4) - 2e-3).abs() < 1e-15);
+    }
+
+    #[test]
+    fn json_with_the_dropped_knobs_still_loads() {
+        // Configs written while `backoff_base_secs`, `backoff_multiplier`
+        // and `tiny_op_bytes` were fields (every committed chaos case and
+        // `results/ci/replay_smoke.config.json`) parse to exactly what the
+        // same JSON without them parses to.
+        let mut s = SimulationConfig::new(PolicyKind::das(), 5.0);
+        s.faults.retry.deadline_secs = 0.05;
+        s.overload.batch.max_ops = 4;
+        let json = serde_json::to_string(&s).unwrap();
+        let old = json
+            .replace(
+                "\"max_attempts\":3,",
+                "\"max_attempts\":3,\"backoff_base_secs\":0.0005,\"backoff_multiplier\":2,",
+            )
+            .replace("\"max_ops\":4,", "\"max_ops\":4,\"tiny_op_bytes\":4096,");
+        assert_eq!(old.matches("backoff_").count(), 2, "{json}");
+        assert!(old.contains("tiny_op_bytes"), "{json}");
+        let new: SimulationConfig = serde_json::from_str(&json).unwrap();
+        let back: SimulationConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, new);
+        assert_eq!(back, s);
     }
 }

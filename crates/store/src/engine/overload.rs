@@ -14,7 +14,7 @@ use das_trace::{DispatchKind, ShedReason, TraceEvent};
 
 use super::recovery::Recovery;
 use super::{Core, Event};
-use crate::config::{OverloadProfile, SimulationConfig};
+use crate::config::{BatchConfig, OverloadProfile, SimulationConfig};
 
 /// Everything the engine tracks only when the overload layer is active.
 pub(super) struct Overload {
@@ -237,7 +237,7 @@ impl Overload {
         now: SimTime,
     ) {
         let batch = &core.config.overload.batch;
-        if !batch.enabled() || leader_bytes > batch.tiny_op_bytes {
+        if !batch.enabled() || leader_bytes > BatchConfig::TINY_OP_BYTES {
             return;
         }
         let rate = core.service_rate(server, now);
@@ -252,7 +252,7 @@ impl Overload {
             };
             let fid = fop.tag.op;
             let fbytes = core.op_bytes.get(fid).copied().unwrap_or_default();
-            let tiny = fbytes.service <= batch.tiny_op_bytes;
+            let tiny = fbytes.service <= BatchConfig::TINY_OP_BYTES;
             let overhead = if tiny {
                 batch.overhead_fraction * full_overhead
             } else {

@@ -16,6 +16,7 @@ use das_trace::{DispatchKind, TraceEvent};
 
 use super::overload::Overload;
 use super::{Core, Dispatch, Event};
+use crate::config::RetryConfig;
 
 /// The events only this stage schedules and handles.
 #[derive(Debug)]
@@ -477,7 +478,7 @@ impl Recovery {
             && rt.seq_attempts < retry.max_attempts
             && overload.is_none_or(|ov| ov.take_token(core.config, DispatchKind::Retry, now))
         {
-            let mut backoff = retry.backoff_secs(rt.seq_attempts + 1);
+            let mut backoff = RetryConfig::backoff_secs(rt.seq_attempts + 1);
             if retry.jitter > 0.0 {
                 backoff *= 1.0 + retry.jitter * das_sim::rng::open_unit(&mut self.rng);
             }

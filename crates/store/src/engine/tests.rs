@@ -604,10 +604,14 @@ fn batching_coalesces_tiny_ops_and_helps_under_overload() {
     plain.horizon_secs = 0.1;
     let mut batched = plain.clone();
     batched.overload.batch.max_ops = 8;
-    batched.overload.batch.tiny_op_bytes = 8192;
-    // ~1.1x saturation on 4096-byte ops: queues grow without help.
-    let a = run_simulation(&plain, requests(3000, 4, 4)).unwrap();
-    let b = run_simulation(&batched, requests(3000, 4, 4)).unwrap();
+    // Saturation on 2048-byte values, so even an op coalescing two keys
+    // is within `BatchConfig::TINY_OP_BYTES`: queues grow without help.
+    let mut input = requests(3000, 3, 4);
+    for read in input.iter_mut().flat_map(|r| &mut r.reads) {
+        read.bytes = 2048;
+    }
+    let a = run_simulation(&plain, &input).unwrap();
+    let b = run_simulation(&batched, &input).unwrap();
     let r = &b.recovery;
     assert!(r.batching.batches > 0, "queued tiny ops must coalesce");
     assert!(r.batching.mean_batch_size() > 1.0);

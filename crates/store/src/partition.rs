@@ -1,9 +1,8 @@
 //! Key partitioning: which server owns which key.
 //!
-//! Three strategies are provided: plain hash-modulo, consistent hashing
-//! with virtual nodes (what Cassandra/Dynamo-style stores deploy), and
-//! contiguous range partitioning. Replication places `r` copies on distinct
-//! servers following the primary.
+//! Keys are placed by consistent hashing with virtual nodes (what
+//! Cassandra/Dynamo-style stores deploy). Replication places `r` copies on
+//! the distinct servers that follow the primary on the ring.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,17 +12,10 @@ use das_sched::types::ServerId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum PartitionerConfig {
-    /// `server = hash(key) % n`.
-    HashMod,
     /// Consistent hashing with `vnodes` virtual nodes per server.
     ConsistentHash {
         /// Virtual nodes per server (64–256 typical).
         vnodes: u32,
-    },
-    /// Contiguous key ranges of equal width.
-    Range {
-        /// Total number of keys (needed to size the ranges).
-        n_keys: u64,
     },
 }
 
@@ -37,75 +29,46 @@ impl PartitionerConfig {
     /// Human-readable description of the knob
     /// [`PartitionerConfig::build`] would assert on, if any.
     pub fn first_invalid(&self) -> Option<&'static str> {
-        match *self {
-            PartitionerConfig::ConsistentHash { vnodes: 0 } => {
-                Some("consistent_hash needs at least one vnode per server")
-            }
-            PartitionerConfig::Range { n_keys: 0 } => Some("range needs n_keys >= 1"),
-            _ => None,
-        }
+        let PartitionerConfig::ConsistentHash { vnodes } = *self;
+        (vnodes == 0).then_some("consistent_hash needs at least one vnode per server")
     }
 
     /// Builds the partitioner for a cluster of `servers` servers.
     ///
     /// # Panics
-    /// Panics if `servers == 0`.
+    /// Panics if `servers == 0` or `vnodes == 0`.
     pub fn build(&self, servers: u32) -> Partitioner {
         assert!(servers > 0, "cluster must have at least one server");
-        match *self {
-            PartitionerConfig::HashMod => Partitioner::HashMod { servers },
-            PartitionerConfig::ConsistentHash { vnodes } => {
-                assert!(vnodes > 0, "need at least one vnode per server");
-                // Domain-separate vnode hashes from key hashes: without the
-                // salt, server 0's vnode inputs are the raw integers
-                // 0..vnodes, which collide *exactly* with the hashes of
-                // keys 0..vnodes — handing every low-numbered (Zipf-hot)
-                // key to server 0.
-                const VNODE_SALT: u64 = 0x5bd1_e995_97f4_a7c5;
-                let mut ring: Vec<(u64, ServerId)> = (0..servers)
-                    .flat_map(|s| {
-                        (0..vnodes).map(move |v| {
-                            (
-                                mix(VNODE_SALT ^ (((s as u64) << 32) | v as u64)),
-                                ServerId(s),
-                            )
-                        })
-                    })
-                    .collect();
-                ring.sort_unstable_by_key(|&(h, _)| h);
-                ring.dedup_by_key(|&mut (h, _)| h);
-                Partitioner::ConsistentHash { ring, servers }
-            }
-            PartitionerConfig::Range { n_keys } => {
-                assert!(n_keys > 0);
-                Partitioner::Range { n_keys, servers }
-            }
-        }
+        let PartitionerConfig::ConsistentHash { vnodes } = *self;
+        assert!(vnodes > 0, "need at least one vnode per server");
+        // Domain-separate vnode hashes from key hashes: without the salt,
+        // server 0's vnode inputs are the raw integers 0..vnodes, which
+        // collide *exactly* with the hashes of keys 0..vnodes — handing
+        // every low-numbered (Zipf-hot) key to server 0.
+        const VNODE_SALT: u64 = 0x5bd1_e995_97f4_a7c5;
+        let mut ring: Vec<(u64, ServerId)> = (0..servers)
+            .flat_map(|s| {
+                (0..vnodes).map(move |v| {
+                    (
+                        mix(VNODE_SALT ^ (((s as u64) << 32) | v as u64)),
+                        ServerId(s),
+                    )
+                })
+            })
+            .collect();
+        ring.sort_unstable_by_key(|&(h, _)| h);
+        ring.dedup_by_key(|&mut (h, _)| h);
+        Partitioner { ring, servers }
     }
 }
 
-/// A built partitioner mapping keys to servers.
+/// A built consistent-hash ring mapping keys to servers.
 #[derive(Debug, Clone)]
-pub enum Partitioner {
-    /// Hash-modulo placement.
-    HashMod {
-        /// Cluster size.
-        servers: u32,
-    },
-    /// Consistent-hash ring.
-    ConsistentHash {
-        /// Sorted `(hash, server)` ring points.
-        ring: Vec<(u64, ServerId)>,
-        /// Cluster size.
-        servers: u32,
-    },
-    /// Equal-width contiguous ranges.
-    Range {
-        /// Total key population.
-        n_keys: u64,
-        /// Cluster size.
-        servers: u32,
-    },
+pub struct Partitioner {
+    /// Sorted `(hash, server)` ring points.
+    ring: Vec<(u64, ServerId)>,
+    /// Cluster size.
+    servers: u32,
 }
 
 /// SplitMix64 — cheap, well-mixed 64-bit hash for key placement.
@@ -119,29 +82,18 @@ fn mix(mut z: u64) -> u64 {
 impl Partitioner {
     /// Number of servers.
     pub fn servers(&self) -> u32 {
-        match *self {
-            Partitioner::HashMod { servers }
-            | Partitioner::ConsistentHash { servers, .. }
-            | Partitioner::Range { servers, .. } => servers,
-        }
+        self.servers
     }
 
     /// The primary server for `key`.
     pub fn primary(&self, key: u64) -> ServerId {
-        match self {
-            Partitioner::HashMod { servers } => ServerId((mix(key) % *servers as u64) as u32),
-            Partitioner::ConsistentHash { ring, .. } => ring[ring_index(ring, key)].1,
-            Partitioner::Range { n_keys, servers } => {
-                let width = n_keys.div_ceil(*servers as u64);
-                ServerId(((key / width).min(*servers as u64 - 1)) as u32)
-            }
-        }
+        self.ring[self.ring_index(key)].1
     }
 
     /// The `replicas` distinct servers holding `key` (primary first).
     /// Clamped to the cluster size.
     pub fn replicas(&self, key: u64, replicas: u32) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(replicas.clamp(1, self.servers()) as usize);
+        let mut out = Vec::with_capacity(replicas.clamp(1, self.servers) as usize);
         self.replicas_into(key, replicas, &mut out);
         out
     }
@@ -150,38 +102,29 @@ impl Partitioner {
     /// discarded), so a caller placing key after key reuses one buffer.
     pub fn replicas_into(&self, key: u64, replicas: u32, out: &mut Vec<ServerId>) {
         out.clear();
-        let n = self.servers();
-        let r = replicas.clamp(1, n);
-        // Successor placement: the next r-1 distinct servers on the ring
-        // (or numerically, for non-ring partitioners).
-        match self {
-            Partitioner::ConsistentHash { ring, .. } => {
-                let start = ring_index(ring, key);
-                for offset in 0..ring.len() {
-                    let s = ring[(start + offset) % ring.len()].1;
-                    if !out.contains(&s) {
-                        out.push(s);
-                        if out.len() == r as usize {
-                            break;
-                        }
-                    }
+        let r = replicas.clamp(1, self.servers) as usize;
+        // Successor placement: the next r-1 distinct servers on the ring.
+        let ring = &self.ring;
+        let start = self.ring_index(key);
+        for offset in 0..ring.len() {
+            let s = ring[(start + offset) % ring.len()].1;
+            if !out.contains(&s) {
+                out.push(s);
+                if out.len() == r {
+                    break;
                 }
-            }
-            _ => {
-                let primary = self.primary(key);
-                out.extend((0..r).map(|i| ServerId((primary.0 + i) % n)));
             }
         }
     }
-}
 
-/// Index of the ring point owning `key`: the first point at or after the
-/// key's hash, wrapping past the last point to the first.
-fn ring_index(ring: &[(u64, ServerId)], key: u64) -> usize {
-    let h = mix(key);
-    match ring.binary_search_by_key(&h, |&(rh, _)| rh) {
-        Ok(i) => i,
-        Err(i) => i % ring.len(),
+    /// Index of the ring point owning `key`: the first point at or after
+    /// the key's hash, wrapping past the last point to the first.
+    fn ring_index(&self, key: u64) -> usize {
+        let h = mix(key);
+        match self.ring.binary_search_by_key(&h, |&(rh, _)| rh) {
+            Ok(i) => i,
+            Err(i) => i % self.ring.len(),
+        }
     }
 }
 
@@ -206,26 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_mod_balances() {
-        let p = PartitionerConfig::HashMod.build(16);
-        balance_check(&p, 100_000, 16, 0.1);
-    }
-
-    #[test]
     fn consistent_hash_balances() {
         let p = PartitionerConfig::ConsistentHash { vnodes: 256 }.build(16);
         balance_check(&p, 100_000, 16, 0.35);
-    }
-
-    #[test]
-    fn range_partitions_contiguously() {
-        let p = PartitionerConfig::Range { n_keys: 100 }.build(4);
-        assert_eq!(p.primary(0), ServerId(0));
-        assert_eq!(p.primary(24), ServerId(0));
-        assert_eq!(p.primary(25), ServerId(1));
-        assert_eq!(p.primary(99), ServerId(3));
-        // Out-of-range keys clamp to the last server.
-        assert_eq!(p.primary(1_000_000), ServerId(3));
     }
 
     #[test]
@@ -267,11 +193,8 @@ mod tests {
 
     #[test]
     fn replicas_distinct_and_primary_first() {
-        for cfg in [
-            PartitionerConfig::HashMod,
-            PartitionerConfig::default(),
-            PartitionerConfig::Range { n_keys: 10_000 },
-        ] {
+        for vnodes in [1, 128] {
+            let cfg = PartitionerConfig::ConsistentHash { vnodes };
             let p = cfg.build(8);
             for k in 0..500u64 {
                 let reps = p.replicas(k, 3);
@@ -286,11 +209,8 @@ mod tests {
     #[test]
     fn replicas_into_overwrites_a_dirty_buffer_with_what_replicas_returns() {
         let n = 8;
-        for cfg in [
-            PartitionerConfig::HashMod,
-            PartitionerConfig::default(),
-            PartitionerConfig::Range { n_keys: 10_000 },
-        ] {
+        for vnodes in [1, 128] {
+            let cfg = PartitionerConfig::ConsistentHash { vnodes };
             let p = cfg.build(n);
             let mut buf = Vec::new();
             for r in [0, 1, 3, n + 1] {
@@ -308,7 +228,7 @@ mod tests {
 
     #[test]
     fn replicas_clamped_to_cluster() {
-        let p = PartitionerConfig::HashMod.build(2);
+        let p = PartitionerConfig::default().build(2);
         assert_eq!(p.replicas(1, 5).len(), 2);
         assert_eq!(p.replicas(1, 0).len(), 1);
     }
@@ -316,23 +236,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
-        let _ = PartitionerConfig::HashMod.build(0);
+        let _ = PartitionerConfig::default().build(0);
     }
 
     #[test]
     fn first_invalid_names_the_knobs_build_asserts_on() {
-        for ok in [
-            PartitionerConfig::HashMod,
-            PartitionerConfig::default(),
-            PartitionerConfig::Range { n_keys: 1 },
-        ] {
-            assert_eq!(ok.first_invalid(), None, "{ok:?}");
+        for vnodes in [1, 128] {
+            assert_eq!(
+                PartitionerConfig::ConsistentHash { vnodes }.first_invalid(),
+                None
+            );
         }
-        for bad in [
-            PartitionerConfig::ConsistentHash { vnodes: 0 },
-            PartitionerConfig::Range { n_keys: 0 },
-        ] {
-            assert!(bad.first_invalid().is_some(), "{bad:?}");
-        }
+        assert!(PartitionerConfig::ConsistentHash { vnodes: 0 }
+            .first_invalid()
+            .is_some());
     }
 }

@@ -20,7 +20,8 @@ fn default_capacity() -> usize {
 ///
 /// Defaults to disabled; a config serialized before this field existed
 /// deserializes to the same disabled default, and a disabled trace adds
-/// zero work to the simulation.
+/// zero work to the simulation. das-store's `SimulationConfig::validate`
+/// checks the knobs whenever tracing is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Master switch. Off by default.
@@ -55,20 +56,6 @@ impl TraceConfig {
             enabled: true,
             ..TraceConfig::default()
         }
-    }
-
-    /// Checks the knobs are usable: `sample` in `(0, 1]`, nonzero capacity.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.sample > 0.0 && self.sample <= 1.0) {
-            return Err(format!(
-                "trace sample rate must be in (0, 1], got {}",
-                self.sample
-            ));
-        }
-        if self.enabled && self.capacity == 0 {
-            return Err("trace capacity must be nonzero when tracing is enabled".into());
-        }
-        Ok(())
     }
 }
 
@@ -166,24 +153,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_disabled_and_valid() {
+    fn default_is_disabled() {
         let c = TraceConfig::default();
         assert!(!c.enabled);
         assert_eq!(c.sample, 1.0);
-        assert!(c.validate().is_ok());
         assert!(TraceConfig::enabled().enabled);
-    }
-
-    #[test]
-    fn validate_rejects_bad_knobs() {
-        let mut c = TraceConfig::enabled();
-        c.sample = 0.0;
-        assert!(c.validate().is_err());
-        c.sample = 1.5;
-        assert!(c.validate().is_err());
-        c.sample = 0.5;
-        c.capacity = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -13,8 +13,7 @@ use das_sim::discrete::{
 };
 use das_sim::dist::{BoundedPareto, Deterministic, Lognormal, Mixture, Sample, Uniform};
 use das_sim::process::{
-    ArrivalProcess, DeterministicProcess, Mmpp2, ModulatedPoissonProcess, PoissonProcess,
-    RateSchedule,
+    ArrivalProcess, Mmpp2, ModulatedPoissonProcess, PoissonProcess, RateSchedule,
 };
 use das_sim::time::{SimDuration, SimTime};
 
@@ -132,11 +131,6 @@ pub enum ArrivalConfig {
         /// Arrival rate, requests per second.
         rate: f64,
     },
-    /// Evenly spaced arrivals.
-    Deterministic {
-        /// Arrival rate, requests per second.
-        rate: f64,
-    },
     /// Two-state Markov-modulated Poisson process (bursty traffic).
     Mmpp {
         /// Arrival rate in each state, requests per second.
@@ -160,13 +154,6 @@ impl ArrivalConfig {
         let invalid = |reason| Err(WorkloadError::ArrivalInvalid { reason });
         match self {
             ArrivalConfig::Poisson { rate } => positive("arrival.rate", *rate),
-            ArrivalConfig::Deterministic { rate } => {
-                positive("arrival.rate", *rate)?;
-                if SimDuration::from_secs_f64(1.0 / rate).is_zero() {
-                    return invalid("deterministic rate leaves a gap below one nanosecond");
-                }
-                Ok(())
-            }
             ArrivalConfig::Mmpp {
                 rates,
                 sojourn_secs,
@@ -209,9 +196,6 @@ impl ArrivalConfig {
     pub fn build(&self) -> Box<dyn ArrivalProcess + Send> {
         match self {
             ArrivalConfig::Poisson { rate } => Box::new(PoissonProcess::new(*rate)),
-            ArrivalConfig::Deterministic { rate } => {
-                Box::new(DeterministicProcess::with_rate(*rate))
-            }
             ArrivalConfig::Mmpp {
                 rates,
                 sojourn_secs,
@@ -234,7 +218,7 @@ impl ArrivalConfig {
     /// Long-run average rate where well-defined (schedules report `None`).
     pub fn average_rate(&self) -> Option<f64> {
         match self {
-            ArrivalConfig::Poisson { rate } | ArrivalConfig::Deterministic { rate } => Some(*rate),
+            ArrivalConfig::Poisson { rate } => Some(*rate),
             ArrivalConfig::Mmpp {
                 rates,
                 sojourn_secs,
@@ -252,9 +236,6 @@ impl ArrivalConfig {
         assert!(factor.is_finite() && factor > 0.0);
         match self {
             ArrivalConfig::Poisson { rate } => ArrivalConfig::Poisson {
-                rate: rate * factor,
-            },
-            ArrivalConfig::Deterministic { rate } => ArrivalConfig::Deterministic {
                 rate: rate * factor,
             },
             ArrivalConfig::Mmpp {
@@ -577,10 +558,6 @@ mod tests {
         assert_eq!(
             ArrivalConfig::Poisson { rate: 10.0 }.average_rate(),
             Some(10.0)
-        );
-        assert_eq!(
-            ArrivalConfig::Deterministic { rate: 5.0 }.average_rate(),
-            Some(5.0)
         );
         let mmpp = ArrivalConfig::Mmpp {
             rates: [10.0, 30.0],

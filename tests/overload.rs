@@ -17,15 +17,21 @@ use das_repro::store::engine::{run_simulation, KeyRead, StoreRequest};
 use das_repro::store::{OverloadProfile, SimulationConfig};
 use das_repro::trace::{critical_paths, TraceEvent};
 
+const BURST: u64 = 64;
+
+/// `n` requests of 1–4 keys: the first [`BURST`] arrive together at time
+/// zero, so queues form whatever `gap_us` the rest arrive at. Values stay
+/// under 1 KiB, so even a four-key op is within
+/// `BatchConfig::TINY_OP_BYTES` and every queued op is batchable.
 fn requests(n: u64, gap_us: u64) -> Vec<StoreRequest> {
     (0..n)
         .map(|i| StoreRequest {
             id: i,
-            arrival: SimTime::from_micros(i * gap_us),
+            arrival: SimTime::from_micros(i.saturating_sub(BURST) * gap_us),
             reads: (0..=(i as usize % 4))
                 .map(|k| {
                     let key = i.wrapping_mul(2654435761).wrapping_add(k as u64 * 97);
-                    let bytes = 1024 + (i as u32 % 9000);
+                    let bytes = 256 + (i as u32 % 768);
                     if (i + k as u64).is_multiple_of(6) {
                         KeyRead::write(key, bytes)
                     } else {
@@ -56,7 +62,6 @@ proptest! {
         tokens_per_sec in 10.0f64..2_000.0,
         burst in 1.0f64..16.0,
         batch_max_ops in 0u32..=6,
-        tiny_op_bytes in 512u64..=16_384,
         retry_on in any::<bool>(),
         retry_frac in 0.2f64..1.0,
     ) {
@@ -72,7 +77,6 @@ proptest! {
                 if budget_on { tokens_per_sec } else { 0.0 };
             cfg.overload.backpressure.burst = burst;
             cfg.overload.batch.max_ops = batch_max_ops;
-            cfg.overload.batch.tiny_op_bytes = tiny_op_bytes;
             if retry_on {
                 // The validator requires the retry deadline to fit inside
                 // the admission deadline.
@@ -101,6 +105,9 @@ proptest! {
                 prop_assert_eq!(r.aborted, 0);
                 prop_assert_eq!(r.retries_denied, 0);
             }
+            // The opening burst queues tiny ops: batching, when on, is
+            // reached in every case.
+            prop_assert_eq!(r.batching.batches > 0, batch_max_ops > 1);
 
             let b = run_simulation(&cfg, reqs).unwrap();
             prop_assert_eq!(a.mean_rct().to_bits(), b.mean_rct().to_bits());

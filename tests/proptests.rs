@@ -121,20 +121,16 @@ proptest! {
         }
     }
 
-    /// Partitioners map every key to a valid server and replicas are
-    /// distinct.
+    /// The ring maps every key to a valid server and replicas are
+    /// distinct, from one vnode per server up.
     #[test]
     fn partitioner_validity(
         keys in proptest::collection::vec(any::<u64>(), 1..100),
         servers in 1u32..64,
         replicas in 1u32..6,
     ) {
-        for cfg in [
-            PartitionerConfig::HashMod,
-            PartitionerConfig::ConsistentHash { vnodes: 16 },
-            PartitionerConfig::Range { n_keys: u64::MAX },
-        ] {
-            let p = cfg.build(servers);
+        for vnodes in [1, 16, 128] {
+            let p = PartitionerConfig::ConsistentHash { vnodes }.build(servers);
             for &k in &keys {
                 let primary = p.primary(k);
                 prop_assert!(primary.0 < servers);

@@ -20,15 +20,19 @@ use das_repro::trace::{
     diff_traces, ladder_diff, telemetry, TraceConfig, TraceEvent, TelemetryConfig,
 };
 
-fn requests(n: u64, gap_us: u64, max_keys: usize) -> Vec<StoreRequest> {
+/// `n` requests of up to `max_keys` keys: the first `burst` arrive
+/// together at time zero, the rest `gap_us` apart. Values stay under
+/// 640 B, so even an op coalescing six keys is within
+/// `BatchConfig::TINY_OP_BYTES`.
+fn requests(n: u64, burst: u64, gap_us: u64, max_keys: usize) -> Vec<StoreRequest> {
     (0..n)
         .map(|i| StoreRequest {
             id: i,
-            arrival: SimTime::from_micros(i * gap_us),
+            arrival: SimTime::from_micros(i.saturating_sub(burst) * gap_us),
             reads: (0..=(i as usize % max_keys))
                 .map(|k| {
                     let key = i.wrapping_mul(2654435761).wrapping_add(k as u64 * 97);
-                    let bytes = 1024 + (i as u32 % 9000);
+                    let bytes = 128 + (i as u32 % 512);
                     if (i + k as u64).is_multiple_of(5) {
                         KeyRead::write(key, bytes)
                     } else {
@@ -64,7 +68,7 @@ proptest! {
             cfg.warmup_secs = 0.0;
             cfg.seed = seed;
             cfg.trace = TraceConfig::enabled();
-            let r = run_simulation(&cfg, requests(n_requests, gap_us, max_keys)).unwrap();
+            let r = run_simulation(&cfg, requests(n_requests, 0, gap_us, max_keys)).unwrap();
             let log = r.trace.as_ref().unwrap();
             prop_assert_eq!(log.dropped, 0);
             let tcfg = TelemetryConfig {
@@ -133,13 +137,12 @@ proptest! {
             cfg.overload.admission.deadline_secs = deadline_us as f64 * 2e-6;
             cfg.overload.admission.queue_capacity = queue_capacity;
             cfg.overload.batch.max_ops = batch_max_ops;
-            cfg.overload.batch.tiny_op_bytes = 16_384;
             prop_assert_eq!(
                 cfg.overload.validate(cfg.faults.retry.deadline_secs),
                 Ok(())
             );
             cfg.trace = TraceConfig::enabled();
-            let r = run_simulation(&cfg, requests(200, 30, 6)).unwrap();
+            let r = run_simulation(&cfg, requests(200, 64, 30, 6)).unwrap();
             let log = r.trace.as_ref().unwrap();
             prop_assert_eq!(log.dropped, 0);
             let t = telemetry::fold(log, &TelemetryConfig {
@@ -150,6 +153,9 @@ proptest! {
                 t.servers.values().map(f).sum()
             };
             let rec = &r.recovery;
+            // The opening burst queues tiny ops: batching, when on, is
+            // reached in every case.
+            prop_assert_eq!(rec.batching.batches > 0, batch_max_ops > 1);
             prop_assert_eq!(
                 sum(|s| telemetry::ServerSeries::total(&s.retries)),
                 rec.retries
@@ -204,7 +210,7 @@ proptest! {
             cfg.warmup_secs = 0.0;
             cfg.seed = seed;
             cfg.trace = TraceConfig::enabled();
-            let r = run_simulation(&cfg, requests(n_requests, gap_us, max_keys)).unwrap();
+            let r = run_simulation(&cfg, requests(n_requests, 0, gap_us, max_keys)).unwrap();
             prop_assert_eq!(r.completed, n_requests);
             logs.push(r.trace.unwrap());
         }
