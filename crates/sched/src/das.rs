@@ -43,6 +43,20 @@
 //!    bursts and *worsens* the worst case, which is why it defaults to
 //!    off. At trivial queue depths (`fcfs_fallback_len`) DAS degenerates
 //!    to FCFS, avoiding reordering overhead at low load.
+//!
+//! **Pruned, exact pick.** The queue stays one arrival-ordered `Vec`, so
+//! an op's index is its `position`. Each full [`CHUNK`]-op range of it
+//! carries a conservative [`Chunk`] summary: a lower bound on the demand
+//! term, the oldest arrival, and the range of request ids. The rank is
+//! `demand − slope · wait` with `slope ≥ 0`, and round-to-nearest `−`,
+//! `×`, `u64 → f64` and the division by 1e9 are all monotone, so
+//! `min_demand − slope · wait(oldest) ≤ rank` holds *in floating point*
+//! for every op of the chunk: no near-tie can flip. A dequeue ranks the
+//! unsummarized tail, then the chunk with the smallest bound, then every
+//! chunk whose bound can still beat the best `(rank, index)` found so
+//! far. The pick is therefore the one a linear scan makes, ties
+//! included. A hint skips the chunks whose request range cannot hold
+//! its request.
 
 use serde::{Deserialize, Serialize};
 
@@ -128,21 +142,130 @@ impl DasConfig {
             ..Default::default()
         }
     }
+
+    /// The rank's demand term: `max(local, remaining bottleneck)`, or the
+    /// local demand alone when the bottleneck term is ablated.
+    fn demand(&self, op: &QueuedOp) -> f64 {
+        let local = op.local_estimate.as_secs_f64();
+        if self.use_remaining_bottleneck {
+            local.max(op.tag.bottleneck_demand.as_secs_f64())
+        } else {
+            local
+        }
+    }
+}
+
+/// Ops per summarized range of [`Das`]'s queue.
+const CHUNK: usize = 64;
+
+/// A conservative summary of one full [`CHUNK`]-op range of [`Das`]'s
+/// queue: every op in the range has a demand `≥ min_demand`, an
+/// `enqueued_at ≥ oldest` and a request id in `lo_req..=hi_req`. It may
+/// be loose in that direction (ops leave and hints lower demands without
+/// tightening it) and is recomputed exactly whenever its range is ranked.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    min_demand: f64,
+    oldest: SimTime,
+    lo_req: u64,
+    hi_req: u64,
+}
+
+impl Chunk {
+    /// The summary of no ops; [`Chunk::absorb`] widens it.
+    const EMPTY: Chunk = Chunk {
+        min_demand: f64::INFINITY,
+        oldest: SimTime::MAX,
+        lo_req: u64::MAX,
+        hi_req: 0,
+    };
+
+    /// Widens the summary to cover `op`, whose demand term is `demand`.
+    fn absorb(&mut self, demand: f64, op: &QueuedOp) {
+        self.min_demand = self.min_demand.min(demand);
+        self.oldest = self.oldest.min(op.enqueued_at);
+        self.lo_req = self.lo_req.min(op.tag.op.request.0);
+        self.hi_req = self.hi_req.max(op.tag.op.request.0);
+    }
+
+    /// A rank no op of the chunk can undercut: the rank expression
+    /// evaluated on the smallest demand and the longest wait.
+    fn bound(&self, slope: f64, now: SimTime) -> f64 {
+        self.min_demand - slope * now.saturating_since(self.oldest).as_secs_f64()
+    }
+}
+
+/// The best `(rank, index)` seen so far by a dequeue.
+#[derive(Debug, Clone, Copy)]
+struct Best {
+    rank: f64,
+    index: usize,
+}
+
+impl Best {
+    /// Nothing seen yet: every finite rank improves on it.
+    const NONE: Best = Best {
+        rank: f64::INFINITY,
+        index: usize::MAX,
+    };
+
+    /// True when `(rank, index)` sorts before the best: a smaller rank, or
+    /// an exact tie from an earlier arrival. Exact ties must go to the
+    /// earliest arrival, never to an epsilon, or the dequeue order would
+    /// depend on unrelated float noise.
+    fn improved_by(&self, rank: f64, index: usize) -> bool {
+        rank.total_cmp(&self.rank).then(index.cmp(&self.index)) == std::cmp::Ordering::Less
+    }
+}
+
+/// Smoothing factor of [`Dispatched`]'s EWMAs.
+const EWMA_ALPHA: f64 = 0.02;
+
+/// EWMAs (α = [`EWMA_ALPHA`]) of the waits and local demands of
+/// dispatched ops. Every dequeue moves both, so one `Option` covers the
+/// pair; that saves the 24 bytes `chunks` costs, and every server of a
+/// run holds a [`Das`].
+#[derive(Debug, Clone, Copy)]
+struct Dispatched {
+    wait: f64,
+    demand: f64,
+}
+
+impl Dispatched {
+    /// The pair after recording one dispatched op.
+    fn record(prev: Option<Dispatched>, wait: f64, demand: f64) -> Dispatched {
+        let ewma = |v: f64, x: f64| v + EWMA_ALPHA * (x - v);
+        match prev {
+            None => Dispatched { wait, demand },
+            Some(p) => Dispatched {
+                wait: ewma(p.wait, wait),
+                demand: ewma(p.demand, demand),
+            },
+        }
+    }
 }
 
 /// The Distributed Adaptive Scheduler. See the module docs for the ranking
-/// rule.
+/// rule and the pruned pick.
 #[derive(Debug)]
 pub struct Das {
     config: DasConfig,
     /// Waiting ops in arrival order: index 0 is the oldest, and an op's
     /// index is the number of older ops still queued.
     queue: Vec<QueuedOp>,
+    /// One summary per full [`CHUNK`]-op range: `chunks[k]` covers
+    /// `queue[k·CHUNK..(k+1)·CHUNK]`, so `chunks.len() == queue.len() /
+    /// CHUNK` and the ops past the last full range (the tail) have none.
+    chunks: Vec<Chunk>,
     queued_work: SimDuration,
-    /// EWMA of the waits of dispatched ops.
-    wait_ewma: das_sim::stats::Ewma,
-    /// EWMA of the local demands of dispatched ops.
-    demand_ewma: das_sim::stats::Ewma,
+    /// EWMAs of dispatched ops; `None` before the first dequeue.
+    dispatched: Option<Dispatched>,
+    /// Ops ranked by all dequeues so far (pruning tests read it).
+    #[cfg(test)]
+    ranked: u64,
+    /// Ops examined by all hints so far (pruning tests read it).
+    #[cfg(test)]
+    examined: u64,
 }
 
 impl Default for Das {
@@ -159,9 +282,13 @@ impl Das {
         Das {
             config,
             queue: Vec::new(),
+            chunks: Vec::new(),
             queued_work: SimDuration::ZERO,
-            wait_ewma: das_sim::stats::Ewma::new(0.02),
-            demand_ewma: das_sim::stats::Ewma::new(0.02),
+            dispatched: None,
+            #[cfg(test)]
+            ranked: 0,
+            #[cfg(test)]
+            examined: 0,
         }
     }
 
@@ -175,9 +302,9 @@ impl Das {
         if self.config.starvation_factor <= 0.0 {
             return false;
         }
-        match self.wait_ewma.value() {
-            Some(avg) if avg > 0.0 => {
-                op.wait_at(now).as_secs_f64() > self.config.starvation_factor * avg
+        match self.dispatched {
+            Some(d) if d.wait > 0.0 => {
+                op.wait_at(now).as_secs_f64() > self.config.starvation_factor * d.wait
             }
             _ => false,
         }
@@ -190,15 +317,15 @@ impl Das {
         if self.config.aging == 0.0 {
             return 0.0;
         }
-        match (self.demand_ewma.value(), self.wait_ewma.value()) {
-            (Some(d), Some(w)) if w > 0.0 => self.config.aging * (d / w).min(1.0),
+        match self.dispatched {
+            Some(d) if d.wait > 0.0 => self.config.aging * (d.demand / d.wait).min(1.0),
             _ => self.config.aging,
         }
     }
 
     /// Picks the next op to serve: its index in `queue` (= its arrival
     /// position) plus the rule that chose it.
-    fn select(&self, now: SimTime) -> Option<(usize, DequeueRule)> {
+    fn select(&mut self, now: SimTime) -> Option<(usize, DequeueRule)> {
         let oldest = self.queue.first()?;
         if self.queue.len() <= self.config.fcfs_fallback_len {
             // Low load: FCFS.
@@ -209,29 +336,72 @@ impl Das {
             // the current norm — serve it regardless of rank.
             return Some((0, DequeueRule::StarvationGuard));
         }
-        // Scan for the minimum rank (lower = served first); the rank
-        // is max(local, remaining bottleneck demand) − slope · wait,
-        // with `bottleneck_demand` kept current by progress hints.
+        // The minimum (rank, index) (lower = served first). The tail has
+        // no summary, so it is always ranked; then the chunk with the
+        // smallest bound, whose best op prunes the rest hardest; then
+        // every chunk whose bound could still sort before the best.
         let slope = self.aging_slope();
-        let mut best = 0usize;
-        let mut best_rank = f64::INFINITY;
-        for (i, op) in self.queue.iter().enumerate() {
-            let local = op.local_estimate.as_secs_f64();
-            let remaining = if self.config.use_remaining_bottleneck {
-                local.max(op.tag.bottleneck_demand.as_secs_f64())
-            } else {
-                local
-            };
-            let r = remaining - slope * op.wait_at(now).as_secs_f64();
-            // Strictly smaller only: the scan runs in arrival order, so
-            // exact ties stay with the earliest arrival (an epsilon would
-            // make the dequeue order depend on unrelated float noise).
-            if r.total_cmp(&best_rank) == std::cmp::Ordering::Less {
-                best = i;
-                best_rank = r;
+        let mut best = Best::NONE;
+        let sealed = self.chunks.len() * CHUNK;
+        self.rank_range(sealed, self.queue.len(), slope, now, &mut best);
+        let bound = |k: usize| self.chunks[k].bound(slope, now);
+        let first = (0..self.chunks.len()).min_by(|&a, &b| bound(a).total_cmp(&bound(b)));
+        if let Some(k) = first {
+            self.rank_chunk(k, slope, now, &mut best);
+        }
+        for k in 0..self.chunks.len() {
+            if Some(k) != first && best.improved_by(self.chunks[k].bound(slope, now), k * CHUNK) {
+                self.rank_chunk(k, slope, now, &mut best);
             }
         }
-        Some((best, DequeueRule::MinRank))
+        Some((best.index, DequeueRule::MinRank))
+    }
+
+    /// Ranks chunk `k` into `best` and makes its summary exact again.
+    fn rank_chunk(&mut self, k: usize, slope: f64, now: SimTime, best: &mut Best) {
+        self.chunks[k] = self.rank_range(k * CHUNK, (k + 1) * CHUNK, slope, now, best);
+    }
+
+    /// Ranks `queue[start..end]` into `best` and returns the exact summary
+    /// of that range.
+    fn rank_range(
+        &mut self,
+        start: usize,
+        end: usize,
+        slope: f64,
+        now: SimTime,
+        best: &mut Best,
+    ) -> Chunk {
+        #[cfg(test)]
+        {
+            self.ranked += (end - start) as u64;
+        }
+        let mut summary = Chunk::EMPTY;
+        for (index, op) in (start..).zip(&self.queue[start..end]) {
+            // `bottleneck_demand` is kept current by progress hints.
+            let demand = self.config.demand(op);
+            summary.absorb(demand, op);
+            let rank = demand - slope * op.wait_at(now).as_secs_f64();
+            if best.improved_by(rank, index) {
+                *best = Best { rank, index };
+            }
+        }
+        summary
+    }
+
+    /// Restores the chunk invariant after `queue.remove(removed)`. Every
+    /// op past `removed` slid one slot left, so each chunk from the one
+    /// that held it on gains the op that used to open the next chunk (or
+    /// the tail); the op it lost only loosens its summary. A last chunk
+    /// that is no longer full dissolves into the tail.
+    fn close_gap(&mut self, removed: usize) {
+        if self.chunks.len() * CHUNK > self.queue.len() {
+            self.chunks.pop();
+        }
+        for k in removed / CHUNK..self.chunks.len() {
+            let op = &self.queue[(k + 1) * CHUNK - 1];
+            self.chunks[k].absorb(self.config.demand(op), op);
+        }
     }
 }
 
@@ -253,6 +423,14 @@ impl Scheduler for Das {
     fn enqueue(&mut self, op: QueuedOp, _now: SimTime) {
         self.queued_work += op.local_estimate;
         self.queue.push(op);
+        if self.queue.len().is_multiple_of(CHUNK) {
+            // The tail just filled a range: seal it with an exact summary.
+            let mut chunk = Chunk::EMPTY;
+            for op in &self.queue[self.queue.len() - CHUNK..] {
+                chunk.absorb(self.config.demand(op), op);
+            }
+            self.chunks.push(chunk);
+        }
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueDecision)> {
@@ -263,9 +441,13 @@ impl Scheduler for Das {
             queue_len: self.queue.len() as u32,
         };
         let op = self.queue.remove(idx);
+        self.close_gap(idx);
         self.queued_work = self.queued_work.saturating_sub(op.local_estimate);
-        self.wait_ewma.record(op.wait_at(now).as_secs_f64());
-        self.demand_ewma.record(op.local_estimate.as_secs_f64());
+        self.dispatched = Some(Dispatched::record(
+            self.dispatched,
+            op.wait_at(now).as_secs_f64(),
+            op.local_estimate.as_secs_f64(),
+        ));
         Some((op, decision))
     }
 
@@ -277,11 +459,37 @@ impl Scheduler for Das {
         if !(self.config.adaptive || self.config.oracle) {
             return;
         }
-        for op in &mut self.queue {
-            if op.tag.op.request == request {
+        let apply = |op: &mut QueuedOp| {
+            let hit = op.tag.op.request == request;
+            if hit {
                 op.tag.bottleneck_eta = update.bottleneck_eta;
                 op.tag.bottleneck_demand = update.remaining_demand;
             }
+            hit
+        };
+        let sealed = self.chunks.len() * CHUNK;
+        for (k, chunk) in self.chunks.iter_mut().enumerate() {
+            // A summary's request range is never too narrow, so a miss is
+            // certain.
+            if !(chunk.lo_req..=chunk.hi_req).contains(&request.0) {
+                continue;
+            }
+            #[cfg(test)]
+            {
+                self.examined += CHUNK as u64;
+            }
+            for op in &mut self.queue[k * CHUNK..(k + 1) * CHUNK] {
+                if apply(op) {
+                    chunk.absorb(self.config.demand(op), op);
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            self.examined += (self.queue.len() - sealed) as u64;
+        }
+        for op in &mut self.queue[sealed..] {
+            apply(op);
         }
     }
 
@@ -559,7 +767,8 @@ mod tests {
 
     /// The ranking rule written the slow, obvious way over an
     /// arrival-ordered shadow queue: `min` over `(rank, arrival index)`
-    /// with the same float expression as [`Das::select`].
+    /// with the same float expression as [`Das::select`], and every hint
+    /// applied to every op of its request.
     struct Naive {
         config: DasConfig,
         shadow: Vec<QueuedOp>,
@@ -568,7 +777,17 @@ mod tests {
     }
 
     impl Naive {
-        fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueRule)> {
+        fn new(config: DasConfig) -> Self {
+            Naive {
+                config,
+                shadow: Vec::new(),
+                wait: das_sim::stats::Ewma::new(0.02),
+                demand: das_sim::stats::Ewma::new(0.02),
+            }
+        }
+
+        /// The served op, the rule that chose it, and its arrival index.
+        fn dequeue(&mut self, now: SimTime) -> Option<(QueuedOp, DequeueRule, usize)> {
             let c = self.config;
             let wait = |o: &QueuedOp| o.wait_at(now).as_secs_f64();
             let oldest = self.shadow.first()?;
@@ -585,25 +804,99 @@ mod tests {
             };
             let rank = |o: &QueuedOp| {
                 let local = o.local_estimate.as_secs_f64();
-                local.max(o.tag.bottleneck_demand.as_secs_f64()) - slope * wait(o)
+                let demand = if c.use_remaining_bottleneck {
+                    local.max(o.tag.bottleneck_demand.as_secs_f64())
+                } else {
+                    local
+                };
+                demand - slope * wait(o)
             };
             let (idx, rule) = if self.shadow.len() <= c.fcfs_fallback_len {
                 (0, DequeueRule::FcfsFallback)
             } else if starving {
                 (0, DequeueRule::StarvationGuard)
             } else {
-                let by_rank_then_arrival = |a: &usize, b: &usize| {
-                    rank(&self.shadow[*a])
-                        .total_cmp(&rank(&self.shadow[*b]))
-                        .then(a.cmp(b))
-                };
-                let idx = (0..self.shadow.len()).min_by(by_rank_then_arrival)?;
+                let by_rank_then_arrival =
+                    |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+                let ranked = self.shadow.iter().enumerate().map(|(i, o)| (rank(o), i));
+                let (_, idx) = ranked.min_by(by_rank_then_arrival)?;
                 (idx, DequeueRule::MinRank)
             };
             let o = self.shadow.remove(idx);
             self.wait.record(wait(&o));
             self.demand.record(o.local_estimate.as_secs_f64());
-            Some((o, rule))
+            Some((o, rule, idx))
+        }
+
+        fn on_hint(&mut self, request: RequestId, update: HintUpdate) {
+            if !(self.config.adaptive || self.config.oracle) {
+                return;
+            }
+            for o in &mut self.shadow {
+                if o.tag.op.request == request {
+                    o.tag.bottleneck_eta = update.bottleneck_eta;
+                    o.tag.bottleneck_demand = update.remaining_demand;
+                }
+            }
+        }
+    }
+
+    /// [`Das`] and [`Naive`] fed the same ops, dequeues and hints. Every
+    /// dequeue asserts that both serve the same op by the same rule, and
+    /// that `position` and `queue_len` match the shadow queue.
+    struct Lockstep {
+        das: Das,
+        naive: Naive,
+        rules_seen: [u32; 4],
+    }
+
+    impl Lockstep {
+        fn new(config: DasConfig) -> Self {
+            Lockstep {
+                das: Das::new(config),
+                naive: Naive::new(config),
+                rules_seen: [0; 4],
+            }
+        }
+
+        fn enqueue(&mut self, o: QueuedOp, now: SimTime) {
+            self.das.enqueue(o, now);
+            self.naive.shadow.push(o);
+        }
+
+        fn hint(&mut self, request: RequestId, update: HintUpdate, now: SimTime) {
+            self.das.on_hint(request, update, now);
+            self.naive.on_hint(request, update);
+        }
+
+        fn dequeue(&mut self, now: SimTime, step: usize) {
+            let config = self.naive.config;
+            let queue_len = self.naive.shadow.len() as u32;
+            let got = self.das.dequeue(now);
+            let want = self.naive.dequeue(now);
+            assert_eq!(got.is_some(), want.is_some(), "step {step}");
+            if let (Some((g, d)), Some((w, rule, position))) = (got, want) {
+                assert_eq!(g.tag.op, w.tag.op, "step {step} config {config:?}");
+                assert_eq!(d.rule, rule, "step {step}");
+                assert_eq!(d.position as usize, position, "step {step}");
+                assert_eq!(d.queue_len, queue_len, "step {step}");
+                self.rules_seen[rule as usize] += 1;
+            }
+        }
+
+        /// Every full range has a summary that covers each of its ops; the
+        /// tail has none.
+        fn check_summaries(&self) {
+            let das = &self.das;
+            assert_eq!(das.chunks.len(), das.queue.len() / CHUNK);
+            for (chunk, ops) in das.chunks.iter().zip(das.queue.chunks_exact(CHUNK)) {
+                for o in ops {
+                    assert!(das.config.demand(o) >= chunk.min_demand, "{chunk:?}");
+                    assert!(o.enqueued_at >= chunk.oldest, "{chunk:?}");
+                    let req = o.tag.op.request.0;
+                    assert!((chunk.lo_req..=chunk.hi_req).contains(&req), "{chunk:?}");
+                }
+            }
         }
     }
 
@@ -631,14 +924,8 @@ mod tests {
         ];
         for (seed, config) in configs.into_iter().enumerate() {
             let mut rng = das_sim::rng::SeedFactory::new(seed as u64).stream("das-diff", 0);
-            let mut das = Das::new(config);
-            let mut naive = Naive {
-                config,
-                shadow: Vec::new(),
-                wait: das_sim::stats::Ewma::new(0.02),
-                demand: das_sim::stats::Ewma::new(0.02),
-            };
-            let (mut now_us, mut arrivals, mut rules_seen) = (0u64, 0u64, [0u32; 4]);
+            let mut pair = Lockstep::new(config);
+            let (mut now_us, mut arrivals) = (0u64, 0u64);
             for step in 0..4_000 {
                 now_us += rng.next_u64() % 40;
                 let now = SimTime::from_micros(now_us);
@@ -649,47 +936,175 @@ mod tests {
                         arrivals += 1;
                         let local = [10, 20, 50][(rng.next_u64() % 3) as usize];
                         let bott = [20, 50, 400][(rng.next_u64() % 3) as usize];
-                        let o = op(arrivals, local, bott, now_us);
-                        das.enqueue(o, now);
-                        naive.shadow.push(o);
+                        pair.enqueue(op(arrivals, local, bott, now_us), now);
                     }
-                    9..=16 => {
-                        let older_than = |picked: &QueuedOp| {
-                            let is_older = |o: &&QueuedOp| o.tag.op.request < picked.tag.op.request;
-                            naive.shadow.iter().filter(is_older).count() as u32
-                        };
-                        let got = das.dequeue(now);
-                        let position = got.as_ref().map(|(o, _)| older_than(o));
-                        let queue_len = naive.shadow.len() as u32;
-                        let want = naive.dequeue(now);
-                        assert_eq!(got.is_some(), want.is_some(), "step {step}");
-                        if let (Some((g, d)), Some((w, rule))) = (got, want) {
-                            assert_eq!(g.tag.op, w.tag.op, "step {step} config {config:?}");
-                            assert_eq!(d.rule, rule, "step {step}");
-                            assert_eq!(Some(d.position), position, "step {step}");
-                            assert_eq!(d.queue_len, queue_len, "step {step}");
-                            rules_seen[rule as usize] += 1;
-                        }
-                    }
+                    9..=16 => pair.dequeue(now, step),
                     _ => {
                         let request = RequestId(1 + rng.next_u64() % arrivals.max(1));
                         let update = hint(now_us, [5, 30, 200][(rng.next_u64() % 3) as usize]);
-                        das.on_hint(request, update, now);
-                        for o in &mut naive.shadow {
-                            if o.tag.op.request == request {
-                                o.tag.bottleneck_eta = update.bottleneck_eta;
-                                o.tag.bottleneck_demand = update.remaining_demand;
-                            }
-                        }
+                        pair.hint(request, update, now);
                     }
                 }
             }
-            assert_eq!(das.len(), naive.shadow.len());
+            assert_eq!(pair.das.len(), pair.naive.shadow.len());
+            let rules_seen = pair.rules_seen;
             assert!(
                 rules_seen[DequeueRule::MinRank as usize] > 500,
                 "{rules_seen:?}"
             );
         }
+    }
+
+    #[test]
+    fn das_matches_the_naive_reference_through_deep_queues() {
+        use rand::RngCore;
+        let aged = |aging, config| DasConfig { aging, ..config };
+        let configs = [
+            DasConfig::default(),
+            aged(
+                3.0,
+                DasConfig {
+                    starvation_factor: 4.0,
+                    ..Default::default()
+                },
+            ),
+            aged(
+                0.0,
+                DasConfig {
+                    fcfs_fallback_len: 0,
+                    ..Default::default()
+                },
+            ),
+            aged(3.0, DasConfig::without_remaining_bottleneck()),
+            DasConfig::without_adaptivity(),
+            aged(0.0, DasConfig::oracle()),
+        ];
+        for (seed, config) in configs.into_iter().enumerate() {
+            let mut rng = das_sim::rng::SeedFactory::new(seed as u64).stream("das-deep", 0);
+            let mut pair = Lockstep::new(config);
+            let (mut now_us, mut request, mut index) = (0u64, 0u64, 0u32);
+            let (mut step, mut peak) = (0usize, 0usize);
+            // Fill past 4096 ops, then drain to empty. The random walk
+            // seals and dissolves chunks at every boundary it crosses, in
+            // both directions.
+            for filling in [true, false] {
+                let len = |pair: &Lockstep| pair.naive.shadow.len();
+                let done = |len: usize| if filling { len > 4_160 } else { len == 0 };
+                while !done(len(&pair)) {
+                    step += 1;
+                    now_us += rng.next_u64() % 8;
+                    let now = SimTime::from_micros(now_us);
+                    let roll = rng.next_u64() % 16;
+                    if roll < if filling { 12 } else { 2 } {
+                        // A third of the ops join the previous request.
+                        // Arrival stamps jitter ±32us around `now`: not
+                        // monotone, and some lie in the future.
+                        if request == 0 || !rng.next_u64().is_multiple_of(3) {
+                            (request, index) = (request + 1, 0);
+                        } else {
+                            index += 1;
+                        }
+                        let local = [10, 20, 50, 1_000][(rng.next_u64() % 4) as usize];
+                        let bott = [20, 50, 400, 5_000][(rng.next_u64() % 4) as usize];
+                        let enq_us = (now_us + rng.next_u64() % 64).saturating_sub(32);
+                        let mut o = op(request, local, bott, enq_us);
+                        o.tag.op.index = index;
+                        pair.enqueue(o, now);
+                    } else if roll < 14 {
+                        pair.dequeue(now, step);
+                    } else {
+                        // One hint, or a storm of eight: at queued ops
+                        // anywhere, at the tail, and at requests gone.
+                        for _ in 0..if roll == 14 { 1 } else { 8 } {
+                            let (shadow, r) = (&pair.naive.shadow, rng.next_u64());
+                            let n = shadow.len() as u64;
+                            let target = match r % 3 {
+                                0 if n > 0 => shadow[(r / 3 % n) as usize].tag.op.request,
+                                1 if n > 0 => {
+                                    let tail = (n % CHUNK as u64).max(1);
+                                    shadow[(n - 1 - r / 3 % tail) as usize].tag.op.request
+                                }
+                                _ => RequestId(1 + r / 3 % request.max(1)),
+                            };
+                            let demand = [5, 30, 200, 2_000][(rng.next_u64() % 4) as usize];
+                            pair.hint(target, hint(now_us, demand), now);
+                        }
+                    }
+                    peak = peak.max(len(&pair));
+                    if step % 64 == 0 {
+                        pair.check_summaries();
+                    }
+                }
+            }
+            assert!(peak > 4_096, "{peak}");
+            let rules_seen = pair.rules_seen;
+            assert!(
+                rules_seen[DequeueRule::MinRank as usize] > 1_000,
+                "{config:?} {rules_seen:?}"
+            );
+        }
+    }
+
+    /// A queued op from the scheduler micro-benchmark's mix: demands are a
+    /// fixed function of `i`, and op `i` is request `i`.
+    fn synthetic_op(i: u64, now: SimTime) -> QueuedOp {
+        let h = das_sim::rng::splitmix64(i);
+        let local = SimDuration::from_micros(100 + h % 4_900);
+        let bottleneck = local + SimDuration::from_micros((h >> 32) % 5_000);
+        QueuedOp {
+            tag: OpTag {
+                op: OpId {
+                    request: RequestId(i),
+                    index: 0,
+                },
+                request_arrival: now,
+                fanout: 1 + (h % 8) as u32,
+                local_estimate: local,
+                bottleneck_eta: now + bottleneck,
+                bottleneck_demand: bottleneck,
+            },
+            local_estimate: local,
+            enqueued_at: now,
+        }
+    }
+
+    #[test]
+    fn pruning_ranks_and_hints_a_fraction_of_a_deep_queue() {
+        const DEPTH: u64 = 4_096;
+        const ROUNDS: u64 = 1_000;
+        // Enqueue + dequeue pairs, one new op per microsecond, with the
+        // queue held at DEPTH.
+        let mut das = Das::default();
+        let mut now = SimTime::ZERO;
+        for i in 0..DEPTH - 1 {
+            das.enqueue(synthetic_op(i, now), now);
+        }
+        for i in DEPTH - 1..DEPTH - 1 + ROUNDS {
+            now += SimDuration::from_micros(1);
+            das.enqueue(synthetic_op(i, now), now);
+            let (_, d) = das.dequeue(now).unwrap();
+            assert_eq!(d.rule, DequeueRule::MinRank);
+        }
+        let ranked = das.ranked / ROUNDS;
+        assert!(
+            ranked <= 512,
+            "{ranked} ops ranked per dequeue at depth {DEPTH}"
+        );
+        // Hints against a full queue, each for one queued request.
+        let mut das = Das::default();
+        let now = SimTime::from_millis(1);
+        for i in 0..DEPTH {
+            das.enqueue(synthetic_op(i, now), now);
+        }
+        for i in 1..=ROUNDS {
+            let eta = 1_000 + 100 + i % 1_000;
+            das.on_hint(RequestId(i % DEPTH), hint(eta, 100 + i % 1_000), now);
+        }
+        let examined = das.examined / ROUNDS;
+        assert!(
+            examined <= 128,
+            "{examined} ops examined per hint at depth {DEPTH}"
+        );
     }
 
     #[test]
